@@ -1,6 +1,9 @@
-// Delta-evaluation speedup: the same anneal search priced through the
-// delta kernel (checkpointed PlannerState + suffix re-pricing) versus
-// the reference from-scratch planner, on the three paper systems.  The
+// Delta-evaluation speedup: one seeded anneal walk of within-tier swaps
+// on each of the three paper systems, priced two ways — the full lane
+// plans every order from scratch with the reference planner
+// (tests/oracle/), the delta lane re-prices the same sequence through
+// one DeltaPlanner (checkpointed PlannerState + suffix re-pricing,
+// evaluate on every proposal, adopt on every accepted move).  The
 // machine-readable "DE" rows feed the delta_eval section of
 // BENCH_headline.json (via scripts/bench_headline_json.sh) so the
 // kernel's speedup is tracked across revisions.
@@ -12,8 +15,8 @@
 // (<suffix_p50> is the median re-priced suffix length in commits, as
 // the upper bound of the delta.suffix_commits histogram bucket holding
 // the median; ">N" when it lands in the overflow bucket.  <best> is the
-// best makespan, identical in both lanes by the kernel's bit-identity
-// property — the bench re-asserts it.)
+// best makespan of the walk, identical in both lanes — the bench
+// asserts the two lanes' makespans equal at every step.)
 //
 // The bench exits non-zero unless the delta lane beats the full lane on
 // every system (a suffix re-pricer slower than from-scratch planning is
@@ -24,9 +27,14 @@
 #include <chrono>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "search/driver.hpp"
+#include "core/delta_planner.hpp"
+#include "oracle/reference_planner.hpp"
+#include "search/eval_context.hpp"
+#include "search/strategy.hpp"
 #include "sim/validate.hpp"
 
 namespace {
@@ -37,42 +45,82 @@ using namespace nocsched;
 /// acceptance bar; the measured ratio runs well above it).
 constexpr double kMinSpeedupP93791 = 5.0;
 
-struct LaneResult {
-  double ms = 0;  ///< best of kReps
-  search::SearchResult result;
+/// One proposal of the walk: the order priced and whether the walk
+/// moved to it.
+struct Step {
+  std::vector<int> order;
+  bool adopt = false;
 };
 
-LaneResult run_lane(const core::SystemModel& sys, const search::SearchOptions& options) {
-  constexpr int kReps = 3;
-  LaneResult lane;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    search::SearchResult result = search::search_orders(
-        sys, power::PowerBudget::unconstrained(), options);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < lane.ms) lane.ms = ms;
-    lane.result = std::move(result);
+/// `iters` proposals of the anneal strategy's own propose/accept rules,
+/// as its warm-started chain 0 walks them from the base priority order
+/// (seed 0x5EED), priced through the oracle.  Recorded once, untimed;
+/// both lanes replay it.
+std::vector<Step> record_walk(const search::EvalContext& ctx, const power::PowerBudget& budget,
+                              std::uint64_t iters) {
+  const search::Strategy& anneal = search::strategy_for(search::StrategyKind::kAnneal);
+  Rng rng = search::EvalContext::chain_rng(0x5EED, 0);
+  search::ChainState state;
+  state.budget = iters;
+  (void)anneal.init_chain(state, ctx, ctx.base_order(), 0, rng);
+  state.makespan =
+      oracle::reference_plan(ctx.system(), budget, state.order, ctx.pair_table()).makespan;
+  std::vector<Step> walk;
+  while (walk.size() < iters) {
+    std::optional<search::Proposal> p = anneal.propose(state, ctx, rng);
+    if (!p) break;
+    ++state.step;
+    const std::uint64_t makespan =
+        oracle::reference_plan(ctx.system(), budget, p->order, ctx.pair_table()).makespan;
+    const bool adopt = p->reset || anneal.accept(state, makespan, rng);
+    if (adopt) {
+      state.order = p->order;
+      state.makespan = makespan;
+      state.since_accept = 0;
+    } else {
+      ++state.since_accept;
+    }
+    walk.push_back(Step{std::move(p->order), adopt});
   }
-  return lane;
+  return walk;
 }
 
-/// Median bucket of the delta.suffix_commits histogram, printed as the
-/// bucket's inclusive upper bound (">N" for the overflow bucket).
-std::string suffix_p50(const search::SearchResult& r) {
-  const auto it = r.metrics.histograms.find("delta.suffix_commits");
-  if (it == r.metrics.histograms.end() || it->second.count == 0) return "0";
-  const obs::HistogramSnapshot& h = it->second;
-  const std::uint64_t half = (h.count + 1) / 2;
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < h.counts.size(); ++b) {
-    seen += h.counts[b];
-    if (seen >= half) {
-      if (b < h.bounds.size()) return std::to_string(h.bounds[b]);
-      return ">" + std::to_string(h.bounds.back());
+struct LaneResult {
+  double ms = 0;                        ///< best of kReps
+  std::vector<std::uint64_t> makespans;  ///< base order first, then one per step
+  core::DeltaStats stats;               ///< delta lane only
+  core::Schedule last;                  ///< delta lane's final incumbent
+};
+
+template <typename Lane>
+LaneResult time_lane(Lane&& lane) {
+  constexpr int kReps = 3;
+  LaneResult out;
+  for (int rep = 0; rep < kReps; ++rep) {
+    LaneResult run;
+    const auto t0 = std::chrono::steady_clock::now();
+    lane(run);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    if (rep == 0 || ms < out.ms) {
+      run.ms = ms;
+      out = std::move(run);
     }
   }
-  return "0";
+  return out;
+}
+
+/// Median bucket of the re-priced suffix lengths under the
+/// delta.suffix_commits histogram's bucket bounds (search/driver.cpp),
+/// printed as the bucket's inclusive upper bound (">N" for overflow).
+std::string suffix_p50(std::vector<std::uint32_t> lengths) {
+  static const std::vector<std::uint64_t> kBounds = {1, 2, 4, 8, 16, 32, 64, 128, 256};
+  if (lengths.empty()) return "0";
+  const auto mid = lengths.begin() + static_cast<std::ptrdiff_t>((lengths.size() - 1) / 2);
+  std::nth_element(lengths.begin(), mid, lengths.end());
+  const auto b = std::lower_bound(kBounds.begin(), kBounds.end(), std::uint64_t{*mid});
+  if (b == kBounds.end()) return ">" + std::to_string(kBounds.back());
+  return std::to_string(*b);
 }
 
 }  // namespace
@@ -81,7 +129,7 @@ int main() {
   try {
     const core::PlannerParams params = core::PlannerParams::paper();
     constexpr std::uint64_t kIters = 256;
-    std::cout << "Delta evaluation vs from-scratch planning: anneal, " << kIters
+    std::cout << "Delta evaluation vs from-scratch planning: anneal walk, " << kIters
               << " order evaluations, jobs 1, seed 0x5EED\n\n";
     std::cout << "   soc procs strategy iters full_ms delta_ms full_o/s delta_o/s "
                  "speedup suffix_p50 best\n";
@@ -90,38 +138,50 @@ int main() {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
           core::SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, procs, params);
+      const power::PowerBudget budget = power::PowerBudget::unconstrained();
+      const search::EvalContext ctx(sys, budget);
+      const std::vector<Step> walk = record_walk(ctx, budget, kIters);
 
-      search::SearchOptions options;
-      options.strategy = search::StrategyKind::kAnneal;
-      options.iters = kIters;
-      options.seed = 0x5EED;
-      options.jobs = 1;  // one thread: the rows price the kernel, not the pool
+      const LaneResult full = time_lane([&](LaneResult& run) {
+        run.makespans.push_back(
+            oracle::reference_plan(sys, budget, ctx.base_order(), ctx.pair_table()).makespan);
+        for (const Step& step : walk) {
+          run.makespans.push_back(
+              oracle::reference_plan(sys, budget, step.order, ctx.pair_table()).makespan);
+        }
+      });
+      const LaneResult delta = time_lane([&](LaneResult& run) {
+        core::DeltaPlanner dp = ctx.make_delta_planner(core::kCheckpointSpacing);
+        run.makespans.push_back(dp.plan_full(ctx.base_order()));
+        for (const Step& step : walk) {
+          run.makespans.push_back(dp.evaluate(step.order));
+          if (step.adopt) dp.adopt();
+        }
+        run.stats = dp.stats();
+        run.last = dp.materialize();
+      });
+      sim::validate_or_throw(sys, delta.last);
 
-      options.delta = false;
-      const LaneResult full = run_lane(sys, options);
-      options.delta = true;
-      const LaneResult delta = run_lane(sys, options);
-      sim::validate_or_throw(sys, delta.result.best);
-
-      // The kernel's bit-identity property, re-asserted end to end.
-      if (delta.result.best.makespan != full.result.best.makespan ||
-          delta.result.best.sessions != full.result.best.sessions) {
-        std::cerr << "bench failed: delta lane diverged from the full lane on " << soc
-                  << " (" << delta.result.best.makespan << " vs "
-                  << full.result.best.makespan << ")\n";
-        return 1;
+      // The kernel's bit-identity property, asserted step by step.
+      for (std::size_t i = 0; i < full.makespans.size(); ++i) {
+        if (i >= delta.makespans.size() || delta.makespans[i] != full.makespans[i]) {
+          std::cerr << "bench failed: delta lane diverged from the full lane on " << soc
+                    << " at step " << i << "\n";
+          return 1;
+        }
       }
 
-      const auto evals =
-          static_cast<double>(full.result.metrics.counter_or("search.evaluations"));
+      const auto evals = static_cast<double>(full.makespans.size());
       const double full_ops = 1000.0 * evals / full.ms;
       const double delta_ops = 1000.0 * evals / delta.ms;
       const double speedup = delta_ops / full_ops;
+      const std::uint64_t best =
+          *std::min_element(full.makespans.begin(), full.makespans.end());
       std::cout << "DE " << soc << " " << procs << " anneal " << kIters << " "
                 << std::fixed << std::setprecision(3) << full.ms << " " << delta.ms << " "
                 << std::setprecision(1) << full_ops << " " << delta_ops << " "
-                << std::setprecision(2) << speedup << " " << suffix_p50(delta.result)
-                << " " << delta.result.best.makespan << "\n";
+                << std::setprecision(2) << speedup << " "
+                << suffix_p50(delta.stats.suffix_lengths) << " " << best << "\n";
 
       if (speedup <= 1.0) {
         std::cerr << "bench failed: delta lane no faster than full on " << soc << " ("

@@ -1,12 +1,13 @@
 // Ablation A10: how much does the single-pass greedy leave on the
-// table?  Multi-start randomized restarts (tier-preserving order
-// shuffles) probe the gap on every paper system.  The paper lists
+// table?  Multi-start randomized restarts (the `restart` search
+// strategy: tier-preserving order shuffles) probe the gap on every
+// paper system.  The paper lists
 // better scheduling as future work; this quantifies the headroom.
 
 #include <iostream>
 
 #include "core/bounds.hpp"
-#include "core/multistart.hpp"
+#include "search/driver.hpp"
 #include "sim/validate.hpp"
 
 int main() {
@@ -20,8 +21,13 @@ int main() {
       const core::SystemModel sys =
           core::SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, procs, params);
       const core::LowerBounds bounds = core::makespan_lower_bounds(sys);
-      const core::MultistartResult result = core::plan_tests_multistart(
-          sys, power::PowerBudget::unconstrained(), 200, 0x5EED, /*jobs=*/0);
+      search::SearchOptions options;
+      options.strategy = search::StrategyKind::kRestart;
+      options.iters = 200;
+      options.seed = 0x5EED;
+      options.jobs = 0;
+      const search::SearchResult result =
+          search::search_orders(sys, power::PowerBudget::unconstrained(), options);
       sim::validate_or_throw(sys, result.best);
       const double gap = 100.0 * (static_cast<double>(result.first_makespan) -
                                   static_cast<double>(result.best.makespan)) /
@@ -29,7 +35,8 @@ int main() {
       std::cout << soc << (soc.size() < 7 ? std::string(7 - soc.size(), ' ') : "") << "  "
                 << procs << "proc   " << bounds.combined() << "       "
                 << result.first_makespan << "    " << result.best.makespan << "    "
-                << static_cast<int>(gap + 0.5) << "% (" << result.improvements
+                << static_cast<int>(gap + 0.5) << "% ("
+                << result.metrics.counter_or("search.improvements")
                 << " improvements)\n";
     }
     std::cout << "\n(single-digit gaps = the paper's one-pass greedy is a reasonable\n"

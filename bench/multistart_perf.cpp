@@ -13,9 +13,9 @@
 // so planner_perf trajectories stay comparable across revisions that
 // change the search engine; this bench times the `restart` strategy,
 // the planner's raw orders/sec floor.  <eval_mode> is full|delta:
-// whether orders were priced by from-scratch reference plans or the
-// delta-evaluation kernel — multistart prices every order in full, so
-// rows here say `full`; bench_delta_eval covers the delta lane.)
+// whether orders were planned from scratch or re-priced as a suffix by
+// the delta-evaluation kernel — multistart plans every order in full,
+// so rows here say `full`; bench_delta_eval covers the delta lane.)
 //
 // It also prices the observability layer on the biggest paper system:
 // the same multistart body A/B-timed with metrics collection off and
@@ -30,7 +30,7 @@
 #include <iostream>
 
 #include "common/parallel.hpp"
-#include "core/multistart.hpp"
+#include "search/driver.hpp"
 #include "sim/validate.hpp"
 #include "with_metrics.hpp"
 
@@ -38,11 +38,27 @@ namespace {
 
 using namespace nocsched;
 
+/// The deterministic pass plus `restarts` seeded tier shuffles: the
+/// `restart` search strategy, every order planned from scratch.
+search::SearchResult multistart(const core::SystemModel& sys, std::uint64_t restarts,
+                                unsigned jobs) {
+  search::SearchOptions options;
+  options.strategy = search::StrategyKind::kRestart;
+  options.iters = restarts;
+  options.seed = 0x5EED;
+  options.jobs = jobs;
+  return search::search_orders(sys, power::PowerBudget::unconstrained(), options);
+}
+
+/// Orders tried, the deterministic pass included.
+std::uint64_t orders(const search::SearchResult& r) {
+  return r.metrics.counter_or("search.evaluations");
+}
+
 double run_timed(const core::SystemModel& sys, std::uint64_t restarts, unsigned jobs,
-                 core::MultistartResult& out) {
+                 search::SearchResult& out) {
   const auto t0 = std::chrono::steady_clock::now();
-  out = core::plan_tests_multistart(sys, power::PowerBudget::unconstrained(), restarts,
-                                    0x5EED, jobs);
+  out = multistart(sys, restarts, jobs);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
@@ -63,25 +79,25 @@ int main() {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
           core::SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, procs, params);
-      core::MultistartResult warm;
+      search::SearchResult warm;
       (void)run_timed(sys, 8, 1, warm);  // warm caches before timing
 
-      core::MultistartResult serial;
+      search::SearchResult serial;
       const double serial_ms = run_timed(sys, kRestarts, 1, serial);
       sim::validate_or_throw(sys, serial.best);
 
-      core::MultistartResult parallel;
+      search::SearchResult parallel;
       const double parallel_ms = run_timed(sys, kRestarts, hw, parallel);
 
       identical = identical && serial.best.makespan == parallel.best.makespan &&
-                  serial.improvements == parallel.improvements &&
+                  serial.metrics.counters == parallel.metrics.counters &&
                   serial.best.sessions == parallel.best.sessions;
 
       for (const auto& [jobs, ms, r] :
-           {std::tuple<unsigned, double, const core::MultistartResult&>{1, serial_ms, serial},
+           {std::tuple<unsigned, double, const search::SearchResult&>{1, serial_ms, serial},
             {hw, parallel_ms, parallel}}) {
-        std::cout << "MSP " << soc << " " << procs << " " << r.restarts << " " << jobs << " "
-                  << ms << " " << 1000.0 * static_cast<double>(r.restarts) / ms << " "
+        std::cout << "MSP " << soc << " " << procs << " " << orders(r) << " " << jobs << " "
+                  << ms << " " << 1000.0 * static_cast<double>(orders(r)) / ms << " "
                   << r.best.makespan << " " << hardware_jobs() << " restart " << kRestarts
                   << " full\n";
       }
@@ -90,19 +106,16 @@ int main() {
       const core::SystemModel big =
           core::SystemModel::paper_system("p93791", itc02::ProcessorKind::kLeon, 8, params);
       constexpr std::uint64_t kOrders = 64;
-      core::MultistartResult scratch;
+      search::SearchResult scratch;
       // Timed serially — the per-run flush cost being priced is the
       // same at any job count, without the thread pool's scheduling
       // jitter — and in many short pairs: a sub-1% verdict needs the
       // pair count, not the body length, and a ~9ms window also gives
       // the OS fewer chances to preempt mid-sample.
       const bench::MetricsOverhead moh = bench::with_metrics(
-          [&] {
-            scratch = core::plan_tests_multistart(big, power::PowerBudget::unconstrained(),
-                                                  kOrders, 0x5EED, 1);
-          },
+          [&] { scratch = multistart(big, kOrders, 1); },
           101);
-      std::cout << "MOH p93791 8 " << scratch.restarts << " " << moh.disabled_ms << " "
+      std::cout << "MOH p93791 8 " << orders(scratch) << " " << moh.disabled_ms << " "
                 << moh.enabled_ms << " " << moh.overhead_pct << "\n";
     }
 

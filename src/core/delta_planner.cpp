@@ -64,7 +64,7 @@ DeltaPlanner::DeltaPlanner(const SystemModel& sys, const power::PowerBudget& bud
 }
 
 void DeltaPlanner::precheck(const std::vector<int>& order) const {
-  // Same feasibility precheck (and error) as the reference planner.
+  // Same feasibility precheck (and error) as the oracle planner.
   for (const int id : order) {
     const double cheapest = table_.cheapest_power(id);
     ensure(cheapest <= budget_.limit, "infeasible: module ", id, " ('",
@@ -150,12 +150,12 @@ void DeltaPlanner::commit_live(std::uint32_t slot, int module_id, const Candidat
 std::optional<DeltaPlanner::Candidate> DeltaPlanner::probe_first_available(int module_id,
                                                                           std::uint64_t t) {
   // Same feasible set, same tie-breaks, same floating-point compares as
-  // Planner::first_available_candidate — but through PlannerState's
-  // first-available fast paths: every session starts at or before `t`
-  // and is non-empty (plan_session enforces duration > 0), so the
-  // endpoint and circuit-channel interval scans collapse to scalar
-  // frontier compares and the load/power window maxima to the level at
-  // `t`.  Each surviving reject happens for a pair the reference would
+  // the oracle's Planner::first_available_candidate — but through
+  // PlannerState's first-available fast paths: every session starts at
+  // or before `t` and is non-empty (plan_session enforces duration > 0),
+  // so the endpoint and circuit-channel interval scans collapse to
+  // scalar frontier compares and the load/power window maxima to the
+  // level at `t`.  Each surviving reject happens for a pair the oracle would
   // reject too, so the selected candidate is identical.
   std::optional<Candidate> best;
   int best_hops = 0;
@@ -187,9 +187,10 @@ bool DeltaPlanner::module_maybe_startable(int module_id, std::uint64_t mask) con
 }
 
 void DeltaPlanner::run_first_available_live(std::uint64_t t, std::uint32_t resume_slot) {
-  // Mirror of Planner::run_first_available, except the first pass may
-  // resume mid-way: pending positions below `resume_slot` were already
-  // offered (and failed) in the current pass before the divergence.
+  // Mirror of the oracle's Planner::run_first_available, except the
+  // first pass may resume mid-way: pending positions below
+  // `resume_slot` were already offered (and failed) in the current pass
+  // before the divergence.
   bool resumed = true;
   std::uint64_t mask = work_.avail_mask(t);
   for (;;) {
@@ -227,7 +228,7 @@ void DeltaPlanner::run_first_available_live(std::uint64_t t, std::uint32_t resum
 }
 
 std::uint64_t DeltaPlanner::earliest_feasible_start(const PairChoice& pc) const {
-  // Mirror of Planner::earliest_feasible_start.
+  // Mirror of the oracle's Planner::earliest_feasible_start.
   const SessionPlan& plan = pc.plan;
   const std::uint64_t dur = plan.duration;
   std::uint64_t t = std::max(work_.available_from(pc.source), work_.available_from(pc.sink));
@@ -259,7 +260,8 @@ std::uint64_t DeltaPlanner::earliest_feasible_start(const PairChoice& pc) const 
 }
 
 void DeltaPlanner::run_earliest_completion_live(std::size_t first_slot) {
-  // Mirror of Planner::run_earliest_completion from `first_slot` on.
+  // Mirror of the oracle's Planner::run_earliest_completion from
+  // `first_slot` on.
   for (std::size_t slot = first_slot; slot < cand_.order.size(); ++slot) {
     const int module_id = cand_.order[slot];
     std::optional<Candidate> best;

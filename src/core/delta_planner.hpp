@@ -2,15 +2,18 @@
 // Delta-evaluation planning kernel: checkpointed PlannerState snapshots
 // plus suffix re-pricing.
 //
-// The search strategies mutate an order locally (a within-tier swap, a
-// shuffle) and re-price it; the reference planner re-plans the whole
-// order each time.  DeltaPlanner keeps the *trace* of the incumbent
-// order's plan — every commit in execution order, the time-advance
-// passes, and PlannerState checkpoints at C-commit boundaries — and
-// re-prices a perturbed order from the first point where its execution
-// can diverge from the incumbent's.  Checkpoints are created lazily,
-// while replaying the shared prefix of a replan (never while planning
-// a candidate live), and their buffers are pooled across replans.
+// Every plan in the library runs through this kernel: the
+// core::plan_tests* entry points plan an order from scratch with a
+// fresh DeltaPlanner (plan_full + materialize), and the search
+// strategies, which mutate an order locally (a within-tier swap, a
+// shuffle) and re-price it, keep one per chain.  DeltaPlanner keeps the
+// *trace* of the incumbent order's plan — every commit in execution
+// order, the time-advance passes, and PlannerState checkpoints at
+// C-commit boundaries — and re-prices a perturbed order from the first
+// point where its execution can diverge from the incumbent's.
+// Checkpoints are created lazily, while replaying the shared prefix of
+// a replan (never while planning a candidate live), and their buffers
+// are pooled across replans.
 //
 // For ResourceChoice::kEarliestCompletion the planner commits orders
 // positionally, so the divergence point is simply the first changed
@@ -20,17 +23,19 @@
 // unchanged positions are reused verbatim; a changed position is
 // screened against the pass's endpoint-availability bitmask (a module
 // none of whose (source, sink) pairs is available cannot start — the
-// exact cheap reject the reference probe performs first) and only
+// exact cheap reject the oracle's probe performs first) and only
 // filter-passing probes materialize state; the first real difference
 // (a reused commit displaced by a changed position, or a changed
 // position that actually starts) switches to live planning mid-pass.
 //
-// The re-priced plan is bit-identical to a from-scratch reference plan
-// of the same order — same commits, same floating-point comparisons,
-// same Schedule — which tests/search/delta_eval_property_test.cpp
-// asserts for random systems and swap sequences.  evaluate() prices a
-// candidate without disturbing the incumbent; adopt() promotes the last
-// candidate (accepted move) so later moves diff against it.
+// The re-priced plan is bit-identical to a from-scratch plan of the same
+// order by the reference planner in tests/oracle/ — same commits, same
+// floating-point comparisons, same Schedule — which
+// tests/search/delta_eval_property_test.cpp asserts for random systems
+// and swap sequences (and tests/oracle/equivalence_test.cpp for every
+// plan_tests* entry point).  evaluate() prices a candidate without
+// disturbing the incumbent; adopt() promotes the last candidate
+// (accepted move) so later moves diff against it.
 
 #include <cstdint>
 #include <memory>
@@ -44,6 +49,10 @@
 #include "power/budget.hpp"
 
 namespace nocsched::core {
+
+/// Commits between PlannerState checkpoints (C) for the library's own
+/// kernels: the plan_tests* entry points and every search chain.
+inline constexpr std::uint32_t kCheckpointSpacing = 16;
 
 /// Work tallies of one DeltaPlanner, for obs `delta.*` metrics and the
 /// delta_eval bench.  Plain counters: one planner lives on one thread.
@@ -71,7 +80,7 @@ class DeltaPlanner {
                std::uint32_t checkpoint_spacing);
 
   /// Plan `order` from scratch, record it as the incumbent base, and
-  /// return its makespan.  Mirrors the reference planner including its
+  /// return its makespan.  Mirrors the oracle planner including its
   /// feasibility precheck (throws the identical error on an infeasible
   /// module).  Orders are not re-validated here: callers pass orders
   /// already shaped like EvalContext's (a permutation, or a valid
@@ -96,9 +105,14 @@ class DeltaPlanner {
   [[nodiscard]] bool has_base() const { return has_base_; }
   [[nodiscard]] const std::vector<int>& base_order() const { return base_.order; }
   [[nodiscard]] std::uint64_t base_makespan() const { return base_.makespan; }
+  /// Time advances of the base plan's first-available passes (0 under
+  /// earliest completion, which never advances a pass clock).
+  [[nodiscard]] std::uint64_t base_time_advances() const {
+    return base_.passes.empty() ? 0 : base_.passes.size() - 1;
+  }
 
   /// The incumbent base plan as a full Schedule, bit-identical to the
-  /// reference planner's Schedule for the same order.
+  /// oracle planner's Schedule for the same order.
   [[nodiscard]] Schedule materialize() const;
 
   [[nodiscard]] const DeltaStats& stats() const { return stats_; }

@@ -186,7 +186,7 @@ std::optional<std::uint64_t> PlannerState::next_end_after(std::uint64_t t) const
 std::uint64_t PlannerState::circuit_earliest_path_fit(std::span<const noc::ChannelId> path,
                                                       std::uint64_t from,
                                                       std::uint64_t len) const {
-  // Same fixed point as ChannelReservations::earliest_path_fit.
+  // Same fixed point as the oracle's circuit-channel earliest_path_fit.
   std::uint64_t t = from;
   bool moved = true;
   while (moved) {

@@ -1,12 +1,13 @@
 #pragma once
 // Copyable planner state for delta evaluation.
 //
-// The greedy planner in scheduler.cpp rebuilds all of its booking state
-// (resource busy windows, channel reservations or loads, the power
-// envelope, per-processor availability frontiers) from scratch on every
-// run.  Delta evaluation needs that state as an explicit *value*: cheap
-// to snapshot, cheap to restore, and bit-identical in every feasibility
-// answer to the structures the reference planner consults.
+// The reference greedy planner (tests/oracle/reference_planner.cpp)
+// keeps its booking state (resource busy windows, channel reservations
+// or loads, the power envelope, per-processor availability frontiers)
+// in std::map-backed structures rebuilt on every run.  The planning
+// kernel needs that state as an explicit *value*: cheap to snapshot,
+// cheap to restore, and bit-identical in every feasibility answer to
+// the structures the oracle consults.
 //
 // Layout is structure-of-arrays: one flat vector per concern, indexed
 // by endpoint or channel id, instead of an array of per-resource
@@ -96,10 +97,10 @@ class PlannerState {
     free_from_[r] = t;
   }
 
-  /// Mirrors Planner::resources_free.
+  /// Mirrors the oracle's Planner::resources_free.
   [[nodiscard]] bool resources_free(std::size_t s, std::size_t k, const Interval& iv) const;
 
-  /// Mirrors Planner::paths_free for the configured channel model.
+  /// Mirrors the oracle's Planner::paths_free for the configured channel model.
   [[nodiscard]] bool paths_free(const SessionPlan& plan, const Interval& iv) const;
 
   // --- First-available fast paths -----------------------------------------
@@ -154,12 +155,14 @@ class PlannerState {
     return busy_[r].earliest_fit(from, len);
   }
 
-  /// Mirrors ChannelReservations::earliest_path_fit (kCircuit only).
+  /// Mirrors the oracle's circuit-channel earliest_path_fit (kCircuit
+  /// only; tests/oracle/reservation.hpp).
   [[nodiscard]] std::uint64_t circuit_earliest_path_fit(std::span<const noc::ChannelId> path,
                                                         std::uint64_t from,
                                                         std::uint64_t len) const;
 
-  /// Mirrors ChannelLoadTable::next_change_after (kMultiplexed only).
+  /// Mirrors the oracle's channel-load next_change_after (kMultiplexed
+  /// only).
   [[nodiscard]] std::optional<std::uint64_t> load_next_change_after(
       std::span<const noc::ChannelId> path, std::uint64_t t) const;
 
@@ -169,7 +172,7 @@ class PlannerState {
   /// filtering otherwise.
   [[nodiscard]] std::uint64_t avail_mask(std::uint64_t t) const;
 
-  /// Mirrors Planner::commit minus the Session materialization:
+  /// Mirrors the oracle's Planner::commit minus the Session materialization:
   /// books both endpoints, both paths, the power slice, the end event,
   /// and — when `proc_resource` is not npos — the tested module's own
   /// processor endpoint becoming available at iv.end.

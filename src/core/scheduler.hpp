@@ -18,6 +18,16 @@
 // interface frees up moments later).  With kEarliestCompletion the
 // planner books each core into the (pair, start time) combination that
 // finishes earliest, which removes the anomaly (ablation A1).
+//
+// Every entry point plans through the PlannerState kernel
+// (core/delta_planner.hpp): a fresh DeltaPlanner plans the order from
+// scratch and materializes the Schedule.  The original std::map
+// planner survives as the test oracle in tests/oracle/, which every
+// entry point is asserted bit-identical to (sessions, makespan, peak
+// power, and error text).
+
+#include <span>
+#include <vector>
 
 #include "core/pair_table.hpp"
 #include "core/schedule.hpp"
@@ -48,29 +58,20 @@ namespace nocsched::core {
 
 /// Per-module CPU-eligibility bitmap, indexed by module id - 1: true
 /// when at least one *other* processor has the memory to run the
-/// module's test.  Shared by priority_order's comparator and the
-/// multistart tier partition, both of which used to rescan every
-/// endpoint per query.
-[[nodiscard]] std::vector<bool> cpu_eligible_modules(const SystemModel& sys);
-
-/// As above on the degraded system: processors named in `faults` are
-/// dead and count for no module's eligibility.
+/// module's test.  Processors named in `faults` are dead and count for
+/// no module's eligibility; the pristine system is the empty FaultSet.
+/// Shared by priority_order's comparator and the search tier partition,
+/// both of which used to rescan every endpoint per query.
 [[nodiscard]] std::vector<bool> cpu_eligible_modules(const SystemModel& sys,
                                                      const noc::FaultSet& faults);
 
 /// Plan with an explicit module order (must be a permutation of all
 /// module ids); only the offer sequence changes, every feasibility rule
-/// still applies.  Used by the multistart improver and by callers with
-/// domain knowledge.
-[[nodiscard]] Schedule plan_tests_with_order(const SystemModel& sys,
-                                             const power::PowerBudget& budget,
-                                             const std::vector<int>& order);
-
-/// As above, reusing a caller-owned PairTable so repeated planning over
-/// the same system (the multistart hot path) skips re-enumerating pairs
-/// and re-deriving session plans.  `pairs` must have been built from
-/// `sys` and must outlive the call; a const PairTable is safe to share
-/// across concurrent calls.
+/// still applies.  `pairs` must have been built from `sys` and must
+/// outlive the call; a const PairTable is safe to share across
+/// concurrent calls, so repeated planning over one system (restart
+/// search, the plan server) skips re-enumerating pairs and re-deriving
+/// session plans.
 [[nodiscard]] Schedule plan_tests_with_order(const SystemModel& sys,
                                              const power::PowerBudget& budget,
                                              const std::vector<int>& order,
@@ -81,20 +82,15 @@ namespace nocsched::core {
 /// or unroutable modules are simply absent, and a processor whose own
 /// test is absent never becomes a resource.  `pairs` decides which
 /// interface pairs exist (build it from the degraded system).
-[[nodiscard]] Schedule plan_tests_subset(const SystemModel& sys,
-                                         const power::PowerBudget& budget,
-                                         const std::vector<int>& order,
-                                         const PairTable& pairs);
-
-/// As above for mid-timeline replans: processors named in `pretested`
-/// already completed their own test in an earlier epoch, so they serve
-/// from instant 0 even though their test session is absent from this
-/// plan.  `pretested` must name processor modules of `sys`; ids may not
-/// repeat or appear in `order` (a completed test is never replanned).
+/// Processors named in `pretested` already completed their own test in
+/// an earlier timeline epoch, so they serve from instant 0 even though
+/// their test session is absent from this plan; they must be processor
+/// modules of `sys`, ascending, and absent from `order` (a completed
+/// test is never replanned).
 [[nodiscard]] Schedule plan_tests_subset(const SystemModel& sys,
                                          const power::PowerBudget& budget,
                                          const std::vector<int>& order,
                                          const PairTable& pairs,
-                                         std::span<const int> pretested);
+                                         std::span<const int> pretested = {});
 
 }  // namespace nocsched::core

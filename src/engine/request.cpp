@@ -287,11 +287,17 @@ PlanRequest parse_request(std::string_view text, std::string_view source, std::s
         if (parts.size() != 2 || parts[0].empty() || parts[1].empty()) {
           sc.die("\"mesh\" expects CxR, e.g. 4x4, got '", mesh, "'");
         }
-        req.system.mesh_cols = static_cast<int>(parse_u64(parts[0], "\"mesh\" cols"));
-        req.system.mesh_rows = static_cast<int>(parse_u64(parts[1], "\"mesh\" rows"));
-        if (req.system.mesh_cols == 0 || req.system.mesh_rows == 0) {
+        const std::uint64_t cols = parse_u64(parts[0], "\"mesh\" cols");
+        const std::uint64_t rows = parse_u64(parts[1], "\"mesh\" rows");
+        if (cols == 0 || rows == 0) {
           sc.die("\"mesh\" dimensions must be positive, got '", mesh, "'");
         }
+        if (cols > kMaxMeshSide || rows > kMaxMeshSide) {
+          sc.die("\"mesh\" '", mesh, "' is out of range (at most ", kMaxMeshSide,
+                 " per side)");
+        }
+        req.system.mesh_cols = static_cast<int>(cols);
+        req.system.mesh_rows = static_cast<int>(rows);
       } else if (key == "power") {
         const double pct = sc.parse_number("\"power\"");
         if (!(pct > 0.0 && pct <= 100.0)) {
@@ -326,6 +332,13 @@ PlanRequest parse_request(std::string_view text, std::string_view source, std::s
     sc.expect('}', "to close the request object");
   }
   sc.expect_end();
+  if (req.system.mesh_cols > 0 && req.system.soc_file.empty() &&
+      !starts_with(req.system.soc, "rand:")) {
+    // build_system ignores the mesh of a builtin SoC, so accepting it
+    // would only split the context cache key.
+    sc.die("\"mesh\" applies only to soc_file and rand: systems, not the builtin SoC '",
+           req.system.soc, "'");
+  }
   if (req.simulate && !req.faults.empty()) {
     sc.die("\"simulate\" cannot be combined with \"faults\" (fault requests already "
            "classify the degraded plan)");

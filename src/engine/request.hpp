@@ -27,6 +27,11 @@
 
 namespace nocsched::engine {
 
+/// Largest accepted mesh side (columns or rows) for soc_file and rand:
+/// systems: range-checked before narrowing to int, and it bounds the
+/// router count a request may build.
+inline constexpr std::uint64_t kMaxMeshSide = 64;
+
 /// Names one buildable system: the cacheable, request-independent part
 /// of a PlanRequest.  Two requests with equal cache_key()s share one
 /// PlanContext (SystemModel + pristine PairTable + search scaffolding).
@@ -37,7 +42,9 @@ struct SystemSpec {
   std::string soc_file;  ///< ITC'02-style .soc file; overrides `soc`
   itc02::ProcessorKind cpu = itc02::ProcessorKind::kLeon;
   int procs = 2;  ///< reused processors appended to the SoC
-  int mesh_cols = 0;  ///< 0 = smallest square mesh (soc_file/rand systems)
+  /// 0 = smallest square mesh; only soc_file/rand systems take a mesh
+  /// (builtin SoCs come with the paper's fixed one).
+  int mesh_cols = 0;
   int mesh_rows = 0;
   core::PlannerParams params = core::PlannerParams::paper();
 

@@ -72,8 +72,9 @@ obs::MetricsSnapshot publish(const RunTotals& t) {
   snap.counters["search.resets"] = t.resets;
   snap.counters["search.improvements"] = t.improvements;
   snap.counters["search.converged_chains"] = t.converged_chains;
-  // The delta lane reports only when it ran: greedy-only and delta-off
-  // runs keep the exact pre-delta snapshot shape.
+  // The delta lane reports only when it ran: greedy-only and
+  // restart runs (single-evaluation chains) keep the pre-delta snapshot
+  // shape.
   const bool delta_ran = t.delta.full_plans > 0;
   if (delta_ran) {
     snap.counters["delta.full_plans"] = t.delta.full_plans;
@@ -151,8 +152,7 @@ struct ChainOutcome {
 ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
                        const std::vector<int>& warm_order, std::uint64_t seed,
                        std::uint64_t chain, std::uint64_t budget,
-                       std::uint64_t base_makespan, bool use_delta,
-                       std::uint32_t delta_spacing, bool record_best_order) {
+                       std::uint64_t base_makespan, bool record_best_order) {
   Rng rng = EvalContext::chain_rng(seed, chain);
   ChainState state;
   state.budget = budget;
@@ -163,7 +163,7 @@ ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
   // chain (restart shuffles) has no incumbent to diff against; it
   // keeps the plain from-scratch path.
   std::optional<core::DeltaPlanner> delta;
-  if (use_delta && budget > 1) delta.emplace(ctx.make_delta_planner(delta_spacing));
+  if (budget > 1) delta.emplace(ctx.make_delta_planner(core::kCheckpointSpacing));
 
   ChainOutcome out;
   if (warm_start) {
@@ -271,8 +271,7 @@ SearchResult search_orders(const EvalContext& ctx, const SearchOptions& options)
   parallel_for(chains, options.jobs, [&](std::size_t c) {
     const obs::Span chain_span("search.chain");
     outcomes[c] = run_chain(ctx, strategy, root, options.seed, c, budget_of(c),
-                            result.first_makespan, options.delta, options.delta_spacing,
-                            record_best_order);
+                            result.first_makespan, record_best_order);
   });
 
   // Serial reduction by (makespan, chain index): strictly-better chains
@@ -309,7 +308,6 @@ SearchResult search_orders(const EvalContext& ctx, const SearchOptions& options)
       // recording on) recovers its best order.
       outcomes[best_chain] = run_chain(ctx, strategy, root, options.seed, best_chain,
                                        budget_of(best_chain), result.first_makespan,
-                                       options.delta, options.delta_spacing,
                                        /*record_best_order=*/true);
       NOCSCHED_ASSERT(outcomes[best_chain].best_makespan == best_makespan);
     }

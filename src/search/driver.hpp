@@ -31,15 +31,6 @@ struct SearchOptions {
   std::uint64_t seed = 0x5EED;
   /// Threads running chains (0 = one per hardware thread; <= 1 serial).
   unsigned jobs = 1;
-  /// Delta evaluation: chains with a budget > 1 price proposals through
-  /// a per-chain core::DeltaPlanner (checkpointed suffix re-pricing)
-  /// instead of from-scratch plans.  The makespans are bit-identical
-  /// either way (the kernel's mandatory property), so this is purely a
-  /// throughput switch — off is the reference lane the delta_eval bench
-  /// compares against.
-  bool delta = true;
-  /// Commits between PlannerState checkpoints inside the delta kernel.
-  std::uint32_t delta_spacing = 16;
   /// Warm-start order for the deterministic pass (and for chain 0 of
   /// the strategies that warm-start).  Empty = unset: the pass plans
   /// the context's base priority order, the pre-existing behaviour.
@@ -64,7 +55,7 @@ struct SearchOptions {
 ///          search.resets search.improvements search.converged_chains
 ///   ctrs   delta.full_plans delta.replans delta.noop_replans
 ///          delta.adoptions delta.reused_commits delta.replayed_commits
-///          delta.repriced_commits delta.probes   (delta lane only)
+///          delta.repriced_commits delta.probes   (chains with budget > 1)
 ///   hist   delta.suffix_commits — re-priced commits per replan
 struct SearchResult {
   core::Schedule best;
@@ -73,9 +64,12 @@ struct SearchResult {
 };
 
 /// Search for a low-makespan order of `sys` under `budget`.  Every
-/// candidate order goes through the same planner (and is validated by
-/// callers exactly like a greedy plan); the best schedule is re-planned
-/// once from the winning chain's order.
+/// candidate order goes through the same planning kernel (and is
+/// validated by callers exactly like a greedy plan): chains with a
+/// budget > 1 price proposals through a per-chain core::DeltaPlanner
+/// (checkpointed suffix re-pricing, bit-identical to a from-scratch
+/// plan), single-evaluation chains plan from scratch.  The best
+/// schedule is re-planned once from the winning chain's order.
 [[nodiscard]] SearchResult search_orders(const core::SystemModel& sys,
                                          const power::PowerBudget& budget,
                                          const SearchOptions& options);

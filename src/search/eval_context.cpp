@@ -12,7 +12,7 @@ EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget&
     : sys_(sys),
       budget_(budget),
       pairs_(sys),
-      eligible_(core::cpu_eligible_modules(sys)),
+      eligible_(core::cpu_eligible_modules(sys, noc::FaultSet{})),
       base_order_(core::priority_order(sys)) {
   build_tiers();
 }
@@ -22,7 +22,7 @@ EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget&
     : sys_(sys),
       budget_(budget),
       pairs_(std::move(table)),
-      eligible_(core::cpu_eligible_modules(sys)),
+      eligible_(core::cpu_eligible_modules(sys, noc::FaultSet{})),
       base_order_(core::priority_order(sys)) {
   build_tiers();
 }
@@ -32,7 +32,6 @@ EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget&
     : sys_(sys),
       budget_(budget),
       pairs_(std::move(table)),
-      subset_(true),
       eligible_(core::cpu_eligible_modules(sys, faults)) {
   // Only modules the degraded table can actually serve are planned;
   // the rest (dead processors, unroutable or power-infeasible cores,
@@ -49,7 +48,6 @@ EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget&
     : sys_(sys),
       budget_(budget),
       pairs_(std::move(table)),
-      subset_(true),
       pretested_(std::move(pretested)),
       eligible_(core::cpu_eligible_modules(sys, faults)) {
   ensure(candidates.size() == sys.soc().modules.size(),
@@ -103,8 +101,9 @@ std::uint64_t EvalContext::evaluate(const std::vector<int>& order) const {
 }
 
 core::Schedule EvalContext::plan(const std::vector<int>& order) const {
-  return subset_ ? core::plan_tests_subset(sys_, budget_, order, pairs_, pretested_)
-                 : core::plan_tests_with_order(sys_, budget_, order, pairs_);
+  // One entry for every context: a pristine base order is the full
+  // permutation, a degraded one the surviving subset.
+  return core::plan_tests_subset(sys_, budget_, order, pairs_, pretested_);
 }
 
 core::DeltaPlanner EvalContext::make_delta_planner(std::uint32_t checkpoint_spacing) const {

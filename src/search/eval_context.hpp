@@ -140,7 +140,6 @@ class EvalContext {
   const core::SystemModel& sys_;
   power::PowerBudget budget_;
   core::PairTable pairs_;
-  bool subset_ = false;  ///< fault mode: the order is a strict subset
   std::vector<int> pretested_;  ///< processors tested in earlier epochs
   std::vector<bool> eligible_;
   std::vector<int> base_order_;

@@ -271,6 +271,42 @@ case "$rc:$serve_err" in
      fails=$((fails + 1)) ;;
 esac
 
+# "mesh" is range-checked before it narrows to int, and a builtin SoC
+# (whose mesh is fixed) rejects one instead of ignoring it: each line
+# gets an exact in-band diagnostic.
+mesh_err=$(printf '%s\n' \
+  '{"soc":"rand:7","mesh":"4294967300x2"}' \
+  '{"soc":"rand:7","mesh":"2147483649x2"}' \
+  '{"soc":"d695","mesh":"1x1"}' \
+  | "$cli" --serve 2>/dev/null)
+rc=$?
+mesh_want='{"id": "line-1", "ok": false, "error": "stdin:1: \"mesh\" '"'"'4294967300x2'"'"' is out of range (at most 64 per side)"}
+{"id": "line-2", "ok": false, "error": "stdin:2: \"mesh\" '"'"'2147483649x2'"'"' is out of range (at most 64 per side)"}
+{"id": "line-3", "ok": false, "error": "stdin:3: \"mesh\" applies only to soc_file and rand: systems, not the builtin SoC '"'"'d695'"'"'"}'
+if [ "$rc" -eq 0 ] && [ "$mesh_err" = "$mesh_want" ]; then
+  echo "ok: --serve rejects out-of-range and builtin-SoC meshes in-band"
+else
+  echo "FAIL: --serve mesh diagnostics (rc=$rc): $mesh_err" >&2
+  fails=$((fails + 1))
+fi
+
+# The one-shot --mesh flag applies the same checks.
+for case in "--soc rand:7 --mesh 4294967300x2|nocsched_cli: --mesh 4294967300x2 is out of range (each side in [1, 64])" \
+            "--soc rand:7 --mesh 0x2|nocsched_cli: --mesh 0x2 is out of range (each side in [1, 64])" \
+            "--soc d695 --mesh 4x4|nocsched_cli: --mesh applies only to --soc-file and rand: systems, not the builtin SoC 'd695'"; do
+  args=${case%%|*}
+  want=${case#*|}
+  # shellcheck disable=SC2086  # intentional word splitting of $args
+  err=$("$cli" $args 2>&1 >/dev/null)
+  rc=$?
+  if [ "$rc" -eq 1 ] && [ "$err" = "$want" ]; then
+    echo "ok: $args rejected"
+  else
+    echo "FAIL: $args (rc=$rc): $err" >&2
+    fails=$((fails + 1))
+  fi
+done
+
 # The serve path and the one-shot path are the same engine: identical
 # requests produce the same plan numbers.
 oneshot_makespan=$("$cli" --soc d695 --procs 4 --format json 2>/dev/null \

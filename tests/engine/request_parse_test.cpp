@@ -79,6 +79,12 @@ TEST(RequestParse, RandSocNamesAccepted) {
   EXPECT_EQ(parse(R"({"soc": "rand:42"})").system.soc, "rand:42");
 }
 
+TEST(RequestParse, RandSocTakesMeshUpToTheSideCap) {
+  const engine::PlanRequest req = parse(R"({"soc": "rand:7", "mesh": "64x2"})");
+  EXPECT_EQ(req.system.mesh_cols, 64);
+  EXPECT_EQ(req.system.mesh_rows, 2);
+}
+
 TEST(RequestParse, WhitespaceIsInsignificant) {
   const engine::PlanRequest a = parse(R"({"procs": 4, "power": 50})");
   const engine::PlanRequest b = parse(R"(  { "procs" :4 ,"power": 50 }  )");
@@ -107,6 +113,26 @@ TEST(RequestParse, ExactDiagnostics) {
   EXPECT_EQ(parse_error(R"({"wrapper": 0})"),
             "req:7: \"wrapper\" must be in [1, 1024], got 0");
   EXPECT_EQ(parse_error(R"({"mesh": "4"})"), "req:7: \"mesh\" expects CxR, e.g. 4x4, got '4'");
+  // Mesh sides are range-checked before narrowing to int (these two used
+  // to wrap to 4x2 and to a negative side), and a builtin SoC, whose
+  // mesh is fixed, rejects a mesh instead of ignoring it.
+  EXPECT_EQ(parse_error(R"({"soc":"rand:7","mesh":"4294967300x2"})"),
+            "req:7: \"mesh\" '4294967300x2' is out of range (at most 64 per side)");
+  EXPECT_EQ(parse_error(R"({"soc":"rand:7","mesh":"2147483649x2"})"),
+            "req:7: \"mesh\" '2147483649x2' is out of range (at most 64 per side)");
+  EXPECT_EQ(parse_error(R"({"soc":"rand:7","mesh":"2x65"})"),
+            "req:7: \"mesh\" '2x65' is out of range (at most 64 per side)");
+  EXPECT_EQ(parse_error(R"({"soc":"rand:7","mesh":"0x2"})"),
+            "req:7: \"mesh\" dimensions must be positive, got '0x2'");
+  EXPECT_EQ(parse_error(R"({"soc":"d695","mesh":"1x1"})"),
+            "req:7: \"mesh\" applies only to soc_file and rand: systems, not the builtin "
+            "SoC 'd695'");
+  EXPECT_EQ(parse_error(R"({"mesh":"4x4","soc":"p22810"})"),
+            "req:7: \"mesh\" applies only to soc_file and rand: systems, not the builtin "
+            "SoC 'p22810'");
+  EXPECT_EQ(parse_error(R"({"mesh":"4x4"})"),
+            "req:7: \"mesh\" applies only to soc_file and rand: systems, not the builtin "
+            "SoC 'd695'");
   EXPECT_EQ(parse_error(R"({"search": "tabu"})"),
             "req:7: unknown \"search\" strategy 'tabu' (expected restart|anneal|local)");
   EXPECT_EQ(parse_error(R"({"simulate": "yes"})"),

@@ -1,4 +1,4 @@
-#include "noc/reservation.hpp"
+#include "oracle/reservation.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,8 +9,13 @@
 #include "common/rng.hpp"
 #include "noc/routing.hpp"
 
-namespace nocsched::noc {
+namespace nocsched::oracle {
 namespace {
+
+using noc::ChannelId;
+using noc::Mesh;
+using noc::RouterId;
+using noc::xy_route;
 
 TEST(ChannelReservations, FreshTableIsFree) {
   const Mesh m(4, 4);
@@ -171,4 +176,4 @@ TEST(ChannelReservationsProperty, EarliestPathFitMatchesBruteForce) {
 }
 
 }  // namespace
-}  // namespace nocsched::noc
+}  // namespace nocsched::oracle

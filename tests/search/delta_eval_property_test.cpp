@@ -1,11 +1,11 @@
 // The delta-evaluation kernel's mandatory property: every order priced
 // through DeltaPlanner — suffix replans from any incumbent, any
-// checkpoint spacing — is *bit-identical* to a from-scratch reference
-// plan of the same order: same makespan, same sessions, same
-// floating-point peak power.  Asserted over the builtin paper systems
-// and random SoCs across every planner parameter variant, plus the
-// search-level contracts: delta on/off gives the same SearchResult and
-// --jobs {1, 2, 8} stay bit-identical with delta on.
+// checkpoint spacing — is *bit-identical* to a from-scratch plan of the
+// same order by the reference planner in tests/oracle/: same makespan,
+// same sessions, same floating-point peak power.  Asserted over the
+// builtin paper systems and random SoCs across every planner parameter
+// variant, plus the search-level contract that --jobs {1, 2, 8} stay
+// bit-identical.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +16,8 @@
 
 #include "common/rng.hpp"
 #include "core/delta_planner.hpp"
-#include "core/scheduler.hpp"
 #include "itc02/random_soc.hpp"
+#include "oracle/reference_planner.hpp"
 #include "search/driver.hpp"
 #include "search/eval_context.hpp"
 
@@ -75,6 +75,14 @@ void expect_schedules_identical(const core::Schedule& a, const core::Schedule& b
   }
 }
 
+/// The oracle's from-scratch plan of `order` over `ctx`'s system, pair
+/// table, and pretested processors.
+core::Schedule oracle_plan(const EvalContext& ctx, const power::PowerBudget& budget,
+                           const std::vector<int>& order) {
+  return oracle::reference_plan(ctx.system(), budget, order, ctx.pair_table(),
+                                ctx.pretested());
+}
+
 /// A random within-tier swap of `order` (the anneal/local move shape).
 void random_swap(const EvalContext& ctx, Rng& rng, std::vector<int>& order) {
   const auto& swappable = ctx.swappable_positions();
@@ -88,10 +96,11 @@ void random_swap(const EvalContext& ctx, Rng& rng, std::vector<int>& order) {
 
 /// Drives `steps` random swaps (occasionally multi-swap or a full
 /// tier shuffle, the reset move) against one DeltaPlanner, asserting
-/// bit-identity with the reference planner at every step.
-void run_sequence(const EvalContext& ctx, core::DeltaPlanner& dp, Rng& rng, int steps) {
+/// bit-identity with the oracle planner at every step.
+void run_sequence(const EvalContext& ctx, const power::PowerBudget& budget,
+                  core::DeltaPlanner& dp, Rng& rng, int steps) {
   std::vector<int> incumbent = ctx.base_order();
-  ASSERT_EQ(dp.plan_full(incumbent), ctx.evaluate(incumbent));
+  ASSERT_EQ(dp.plan_full(incumbent), oracle_plan(ctx, budget, incumbent).makespan);
   for (int step = 0; step < steps; ++step) {
     std::vector<int> order = incumbent;
     if (rng.chance(0.1)) {
@@ -101,12 +110,12 @@ void run_sequence(const EvalContext& ctx, core::DeltaPlanner& dp, Rng& rng, int 
       if (rng.chance(0.3)) random_swap(ctx, rng, order);  // compound move
     }
     const std::uint64_t delta_makespan = dp.evaluate(order);
-    const std::uint64_t full_makespan = ctx.evaluate(order);
+    const std::uint64_t full_makespan = oracle_plan(ctx, budget, order).makespan;
     ASSERT_EQ(delta_makespan, full_makespan) << "step " << step;
     if (rng.chance(0.4)) {
       incumbent = order;
       dp.adopt();
-      expect_schedules_identical(dp.materialize(), ctx.plan(incumbent));
+      expect_schedules_identical(dp.materialize(), oracle_plan(ctx, budget, incumbent));
       ASSERT_EQ(dp.base_makespan(), full_makespan);
     }
   }
@@ -123,7 +132,7 @@ TEST(DeltaEvalProperty, BuiltinSystemsSwapSequencesBitIdentical) {
       const EvalContext ctx(sys, budget);
       core::DeltaPlanner dp = ctx.make_delta_planner(16);
       Rng rng = stream_rng(0xDE17A, constrained ? 1 : 0);
-      run_sequence(ctx, dp, rng, 50);
+      run_sequence(ctx, budget, dp, rng, 50);
     }
   }
 }
@@ -140,7 +149,7 @@ TEST(DeltaEvalProperty, CheckpointSpacingsAllAgree) {
     // the spacings must agree step for step (each is checked against
     // the reference anyway).
     Rng rng = stream_rng(0xC0FFEE, 7);
-    run_sequence(ctx, dp, rng, 40);
+    run_sequence(ctx, budget, dp, rng, 40);
   }
 }
 
@@ -153,7 +162,7 @@ TEST(DeltaEvalProperty, RandomSystemsAllParamVariants) {
     if (rng.chance(0.5)) budget = power::PowerBudget::fraction_of_total(sys.soc(), 0.8);
     const EvalContext ctx(sys, budget);
     core::DeltaPlanner dp = ctx.make_delta_planner(static_cast<std::uint32_t>(1 + seed % 5));
-    run_sequence(ctx, dp, rng, 30);
+    run_sequence(ctx, budget, dp, rng, 30);
   }
 }
 
@@ -188,7 +197,7 @@ TEST(DeltaEvalProperty, SubsetOrdersWithPretestedProcessors) {
 
     core::DeltaPlanner dp(sys, budget, table, pretested, 4);
     ASSERT_EQ(dp.plan_full(order),
-              core::plan_tests_subset(sys, budget, order, table, pretested).makespan);
+              oracle::reference_plan(sys, budget, order, table, pretested).makespan);
     for (int step = 0; step < 20; ++step) {
       std::vector<int> perturbed = order;
       if (perturbed.size() >= 2) {
@@ -198,13 +207,13 @@ TEST(DeltaEvalProperty, SubsetOrdersWithPretestedProcessors) {
       }
       const std::uint64_t got = dp.evaluate(perturbed);
       const std::uint64_t want =
-          core::plan_tests_subset(sys, budget, perturbed, table, pretested).makespan;
+          oracle::reference_plan(sys, budget, perturbed, table, pretested).makespan;
       ASSERT_EQ(got, want) << "step " << step;
       if (rng.chance(0.5)) {
         order = perturbed;
         dp.adopt();
         expect_schedules_identical(
-            dp.materialize(), core::plan_tests_subset(sys, budget, order, table, pretested));
+            dp.materialize(), oracle::reference_plan(sys, budget, order, table, pretested));
       }
     }
   }
@@ -219,7 +228,6 @@ TEST(DeltaEvalProperty, JobsBitIdenticalWithDeltaOn) {
       SearchOptions options;
       options.strategy = kind;
       options.iters = 64;
-      options.delta = true;
       std::optional<SearchResult> baseline;
       for (const unsigned jobs : {1u, 2u, 8u}) {
         options.jobs = jobs;
@@ -232,34 +240,6 @@ TEST(DeltaEvalProperty, JobsBitIdenticalWithDeltaOn) {
         EXPECT_EQ(result.best.sessions, baseline->best.sessions) << "jobs " << jobs;
         EXPECT_EQ(result.metrics.counters, baseline->metrics.counters) << "jobs " << jobs;
       }
-    }
-  }
-}
-
-TEST(DeltaEvalProperty, DeltaOnOffSameSearchResult) {
-  for (const char* soc : {"d695", "p22810", "p93791"}) {
-    const core::SystemModel sys = paper(soc, soc == std::string("d695") ? 6 : 8);
-    const power::PowerBudget budget = power::PowerBudget::unconstrained();
-    for (const StrategyKind kind : {StrategyKind::kAnneal, StrategyKind::kLocal}) {
-      SCOPED_TRACE(std::string(soc) + (kind == StrategyKind::kAnneal ? " anneal" : " local"));
-      SearchOptions options;
-      options.strategy = kind;
-      options.iters = 48;
-      options.delta = false;
-      const SearchResult full = search_orders(sys, budget, options);
-      options.delta = true;
-      const SearchResult delta = search_orders(sys, budget, options);
-      // Same search trajectory move for move: identical best schedule
-      // and identical search.* accounting (the delta run additionally
-      // reports its delta.* tallies).
-      EXPECT_EQ(delta.best.makespan, full.best.makespan);
-      EXPECT_EQ(delta.best.sessions, full.best.sessions);
-      EXPECT_EQ(delta.first_makespan, full.first_makespan);
-      for (const auto& [name, value] : full.metrics.counters) {
-        EXPECT_EQ(delta.metrics.counter_or(name), value) << name;
-      }
-      EXPECT_GT(delta.metrics.counter_or("delta.replans"), 0u);
-      EXPECT_EQ(full.metrics.counter_or("delta.replans"), 0u);
     }
   }
 }

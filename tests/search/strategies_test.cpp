@@ -11,9 +11,9 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "core/multistart.hpp"
 #include "core/scheduler.hpp"
 #include "itc02/random_soc.hpp"
+#include "oracle/reference_planner.hpp"
 #include "search/driver.hpp"
 #include "search/eval_context.hpp"
 #include "sim/validate.hpp"
@@ -59,7 +59,8 @@ core::Schedule reference_multistart(const core::SystemModel& sys,
                                     const power::PowerBudget& budget, std::uint64_t restarts,
                                     std::uint64_t seed, std::uint64_t* improvements) {
   const std::vector<int> base_order = core::priority_order(sys);
-  const std::vector<bool> eligible = core::cpu_eligible_modules(sys);
+  const std::vector<bool> eligible = core::cpu_eligible_modules(sys, noc::FaultSet{});
+  const core::PairTable pairs(sys);
   std::vector<std::vector<int>> tiers(3);
   for (int id : base_order) {
     const std::size_t tier =
@@ -68,7 +69,7 @@ core::Schedule reference_multistart(const core::SystemModel& sys,
                                                                              : 1;
     tiers[tier].push_back(id);
   }
-  core::Schedule best = core::plan_tests_with_order(sys, budget, base_order);
+  core::Schedule best = oracle::reference_plan(sys, budget, base_order, pairs);
   *improvements = 0;
   std::uint64_t best_makespan = best.makespan;
   for (std::uint64_t r = 0; r < restarts; ++r) {
@@ -79,7 +80,7 @@ core::Schedule reference_multistart(const core::SystemModel& sys,
       rng.shuffle(shuffled);
       order.insert(order.end(), shuffled.begin(), shuffled.end());
     }
-    core::Schedule candidate = core::plan_tests_with_order(sys, budget, order);
+    core::Schedule candidate = oracle::reference_plan(sys, budget, order, pairs);
     if (candidate.makespan < best_makespan) {
       best_makespan = candidate.makespan;
       best = std::move(candidate);
@@ -107,12 +108,13 @@ void expect_restart_matches_reference(const core::SystemModel& sys,
   EXPECT_EQ(result.best.makespan, reference.makespan) << label;
   EXPECT_EQ(result.metrics.counter_or("search.improvements"), ref_improvements) << label;
 
-  // And the core::plan_tests_multistart compatibility shim agrees too.
-  const core::MultistartResult shim =
-      core::plan_tests_multistart(sys, budget, restarts, seed, 1);
-  EXPECT_EQ(shim.best.sessions, reference.sessions) << label;
-  EXPECT_EQ(shim.improvements, ref_improvements) << label;
-  EXPECT_EQ(shim.restarts, restarts + 1) << label;
+  // And serially too, trying the deterministic pass plus one order per
+  // restart.
+  options.jobs = 1;
+  const SearchResult serial = search_orders(sys, budget, options);
+  EXPECT_EQ(serial.best.sessions, reference.sessions) << label;
+  EXPECT_EQ(serial.metrics.counter_or("search.improvements"), ref_improvements) << label;
+  EXPECT_EQ(serial.metrics.counter_or("search.evaluations"), restarts + 1) << label;
 }
 
 TEST(RestartStrategy, BitIdenticalToPreRefactorMultistartOnBuiltins) {

@@ -27,7 +27,8 @@
 //                       at every job count
 //   --wrapper <n>       wrapper chains per core (default 4)
 //   --format <f>        table (default) | gantt | csv | json | all
-//   --mesh <CxR>        mesh dimensions for --soc-file systems
+//   --mesh <CxR>        mesh dimensions for --soc-file and rand: systems
+//                       (each side 1..64)
 //   --simulate          replay the plan on the flit-level discrete-event
 //                       simulator and report observed vs planned timing
 //                       (exits non-zero if the cross-check finds
@@ -300,8 +301,14 @@ Options parse_args(int argc, char** argv) {
     } else if (key == "mesh") {
       const auto parts = split(value, 'x');
       ensure(parts.size() == 2, "--mesh expects CxR, e.g. 4x4");
-      opt.mesh_cols = static_cast<int>(parse_u64(parts[0], "--mesh cols"));
-      opt.mesh_rows = static_cast<int>(parse_u64(parts[1], "--mesh rows"));
+      const std::uint64_t cols = parse_u64(parts[0], "--mesh cols");
+      const std::uint64_t rows = parse_u64(parts[1], "--mesh rows");
+      ensure(cols >= 1 && rows >= 1 && cols <= engine::kMaxMeshSide &&
+                 rows <= engine::kMaxMeshSide,
+             "--mesh ", value, " is out of range (each side in [1, ", engine::kMaxMeshSide,
+             "])");
+      opt.mesh_cols = static_cast<int>(cols);
+      opt.mesh_rows = static_cast<int>(rows);
     } else {
       // Unknown keys were rejected while scanning argv; reaching this
       // branch means a key was added to value_keys/flag_keys without a
@@ -346,6 +353,9 @@ Options parse_args(int argc, char** argv) {
   } else {
     ensure(kv.count("serve-batch") == 0 && kv.count("serve-cache") == 0,
            "--serve-batch/--serve-cache only configure the --serve loop");
+    ensure(opt.mesh_cols == 0 || !opt.soc_file.empty() || starts_with(opt.soc, "rand:"),
+           "--mesh applies only to --soc-file and rand: systems, not the builtin SoC '",
+           opt.soc, "'");
   }
   return opt;
 }
