@@ -11,13 +11,14 @@
 // serves any number of planner runs over the same system, including
 // concurrent multistart restarts: it is immutable while shared.
 //
-// Fault-aware replanning builds the same table over a degraded system:
-// pairs whose endpoints died or whose routes cannot survive the fault
-// set disappear, and surviving pairs are priced over their fault-aware
-// (possibly detoured) routes.  apply_faults is the incremental path —
-// only modules whose existing pairs touch the fault set are
-// re-enumerated, and the result is bit-identical to a from-scratch
-// degraded build (asserted by the tests/fault property suite).
+// There is one build path, over a FaultSet: pairs whose endpoints died
+// or whose routes cannot survive the fault set disappear, and surviving
+// pairs are priced over their fault-aware (possibly detoured) routes.
+// The pristine table is the empty FaultSet's.  apply_faults is the
+// incremental path — only modules whose existing pairs touch the fault
+// set are re-enumerated, and the result is bit-identical to a
+// from-scratch degraded build (asserted by the tests/fault property
+// suite).
 
 #include <span>
 #include <vector>
@@ -41,11 +42,11 @@ struct PairChoice {
 
 class PairTable {
  public:
-  /// Pairs of the pristine system (XY routes, every endpoint alive).
-  explicit PairTable(const SystemModel& sys);
-
-  /// Pairs of the degraded system: from-scratch build under `faults`.
-  PairTable(const SystemModel& sys, const noc::FaultSet& faults);
+  /// Pairs of `sys` under `faults`: pairs whose endpoints died or
+  /// whose routes cannot survive disappear, and the rest are priced
+  /// over their fault-aware routes.  The pristine system is the empty
+  /// FaultSet (XY routes, every endpoint alive).
+  explicit PairTable(const SystemModel& sys, const noc::FaultSet& faults = {});
 
   /// Incrementally degrade this table to `faults`: re-enumerate only
   /// the modules whose current pairs touch the fault set (a failed
@@ -79,22 +80,20 @@ class PairTable {
   /// losses cascade to the cores it exclusively served (computed as a
   /// fixpoint).  The fault-aware replanner plans exactly this set and
   /// reports the complement instead of letting the planner get stuck.
-  [[nodiscard]] std::vector<bool> testable_modules(const SystemModel& sys,
-                                                   double power_limit) const;
-
-  /// As above for mid-timeline replans: processors named in `pretested`
-  /// (ascending module ids) already passed their own test in an earlier
-  /// epoch, so they serve unconditionally — a pair through a pretested
-  /// processor is usable even though that processor's test is absent
-  /// from the current plan.  A pretested processor that later died
-  /// contributes nothing (apply_faults already dropped its pairs).
+  ///
+  /// Processors named in `pretested` (ascending module ids) already
+  /// passed their own test in an earlier timeline epoch, so they serve
+  /// unconditionally — a pair through a pretested processor is usable
+  /// even though that processor's test is absent from the current plan.
+  /// A pretested processor that later died contributes nothing
+  /// (apply_faults already dropped its pairs).
   [[nodiscard]] std::vector<bool> testable_modules(const SystemModel& sys, double power_limit,
-                                                   std::span<const int> pretested) const;
+                                                   std::span<const int> pretested = {}) const;
 
  private:
   [[nodiscard]] std::size_t index_of(int module_id) const;
   void build_module(const SystemModel& sys, const itc02::Module& m,
-                    const noc::FaultSet* faults);
+                    const noc::FaultSet& faults);
 
   std::vector<std::vector<PairChoice>> by_module_;  // module id - 1 (ids are 1..N)
   std::vector<double> cheapest_;

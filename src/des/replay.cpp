@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "core/session_model.hpp"
 #include "des/event_queue.hpp"
-#include "noc/routing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "power/budget.hpp"
@@ -136,7 +135,7 @@ std::uint64_t ceil_cycles(double v) {
 class Replayer {
  public:
   Replayer(const core::SystemModel& sys, const core::Schedule& schedule,
-           const noc::FaultSet* faults, std::span<const int> pretested = {})
+           const noc::FaultSet& faults, std::span<const int> pretested)
       : sys_(sys), schedule_(schedule), faults_(faults),
         pretested_(pretested.begin(), pretested.end()),
         channels_(sys.mesh().channel_count()) {
@@ -184,22 +183,22 @@ class Replayer {
     const auto& endpoints = sys_.endpoints();
     const core::Endpoint& src = endpoints[static_cast<std::size_t>(planned.source_resource)];
     const core::Endpoint& snk = endpoints[static_cast<std::size_t>(planned.sink_resource)];
-    if (sys_.soc().module(planned.module_id).is_processor &&
-        faults_->processor_failed(planned.module_id)) {
+    if (faults_.processor_failed(planned.module_id) &&
+        sys_.soc().module(planned.module_id).is_processor) {
       return cat("module ", planned.module_id, " is a failed processor");
     }
-    if (src.is_processor() && faults_->processor_failed(src.processor_module)) {
+    if (src.is_processor() && faults_.processor_failed(src.processor_module)) {
       return cat("source processor ", src.processor_module, " failed");
     }
-    if (snk.is_processor() && faults_->processor_failed(snk.processor_module)) {
+    if (snk.is_processor() && faults_.processor_failed(snk.processor_module)) {
       return cat("sink processor ", snk.processor_module, " failed");
     }
     const noc::RouterId at = sys_.router_of(planned.module_id);
-    auto in = noc::fault_route(sys_.mesh(), *faults_, src.router, at);
+    auto in = noc::fault_route(sys_.mesh(), faults_, src.router, at);
     if (!in) {
       return cat("no surviving route from ", src.name(), " to the core");
     }
-    auto out = noc::fault_route(sys_.mesh(), *faults_, at, snk.router);
+    auto out = noc::fault_route(sys_.mesh(), faults_, at, snk.router);
     if (!out) {
       return cat("no surviving route from the core to ", snk.name());
     }
@@ -228,42 +227,37 @@ class Replayer {
     // Which planned sessions the faults kill: the direct losses, then
     // the cascade — a session whose serving processor lost its own test
     // can never launch (the replay gates on processor_done).
-    std::map<int, std::string> lost_reason;   // module id -> why
-    std::map<int, FaultRoutes> fault_routes;  // module id -> surviving legs
-    if (faults_ != nullptr) {
+    std::map<int, std::string> lost_reason;  // module id -> why
+    std::vector<FaultRoutes> routes(schedule_.sessions.size());  // by plan index
+    for (std::size_t i = 0; i < schedule_.sessions.size(); ++i) {
+      const core::Session& planned = schedule_.sessions[i];
+      std::string reason = direct_loss_reason(planned, routes[i]);
+      if (!reason.empty()) lost_reason.emplace(planned.module_id, std::move(reason));
+    }
+    for (bool changed = true; changed;) {
+      changed = false;
       for (const core::Session& planned : schedule_.sessions) {
-        FaultRoutes routes;
-        std::string reason = direct_loss_reason(planned, routes);
-        if (!reason.empty()) {
-          lost_reason.emplace(planned.module_id, std::move(reason));
-        } else {
-          fault_routes.emplace(planned.module_id, std::move(routes));
-        }
-      }
-      for (bool changed = true; changed;) {
-        changed = false;
-        for (const core::Session& planned : schedule_.sessions) {
-          if (lost_reason.count(planned.module_id) != 0) continue;
-          for (int r : {planned.source_resource, planned.sink_resource}) {
-            const core::Endpoint& ep = endpoints[static_cast<std::size_t>(r)];
-            if (ep.is_processor() && lost_reason.count(ep.processor_module) != 0) {
-              lost_reason.emplace(planned.module_id,
-                                  cat("serving processor ", ep.processor_module,
-                                      " lost its own test"));
-              changed = true;
-              break;
-            }
+        if (lost_reason.count(planned.module_id) != 0) continue;
+        for (int r : {planned.source_resource, planned.sink_resource}) {
+          const core::Endpoint& ep = endpoints[static_cast<std::size_t>(r)];
+          if (ep.is_processor() && lost_reason.count(ep.processor_module) != 0) {
+            lost_reason.emplace(planned.module_id,
+                                cat("serving processor ", ep.processor_module,
+                                    " lost its own test"));
+            changed = true;
+            break;
           }
         }
       }
-      for (const core::Session& planned : schedule_.sessions) {
-        const auto it = lost_reason.find(planned.module_id);
-        if (it != lost_reason.end()) lost_.push_back({planned.module_id, it->second});
-      }
+    }
+    for (const core::Session& planned : schedule_.sessions) {
+      const auto it = lost_reason.find(planned.module_id);
+      if (it != lost_reason.end()) lost_.push_back({planned.module_id, it->second});
     }
 
-    for (const core::Session& planned : schedule_.sessions) {
-      if (faults_ != nullptr && lost_reason.count(planned.module_id) != 0) continue;
+    for (std::size_t i = 0; i < schedule_.sessions.size(); ++i) {
+      const core::Session& planned = schedule_.sessions[i];
+      if (lost_reason.count(planned.module_id) != 0) continue;
       const core::Endpoint& src = endpoints[static_cast<std::size_t>(planned.source_resource)];
       const core::Endpoint& snk = endpoints[static_cast<std::size_t>(planned.sink_resource)];
 
@@ -274,16 +268,8 @@ class Replayer {
       s.planned_start = planned.start;
       s.planned_end = planned.end;
       s.power = planned.power;
-      const noc::RouterId at = sys_.router_of(planned.module_id);
-      if (faults_ != nullptr) {
-        // Present by construction: unroutable sessions were lost above.
-        FaultRoutes& routes = fault_routes.at(planned.module_id);
-        s.path_in = std::move(routes.in);
-        s.path_out = std::move(routes.out);
-      } else {
-        s.path_in = noc::xy_route(sys_.mesh(), src.router, at);
-        s.path_out = noc::xy_route(sys_.mesh(), at, snk.router);
-      }
+      s.path_in = std::move(routes[i].in);
+      s.path_out = std::move(routes[i].out);
       s.setup = nc.path_setup_cycles(static_cast<int>(s.path_in.size())) +
                 nc.path_setup_cycles(static_cast<int>(s.path_out.size()));
       s.same_cpu = src.is_processor() && snk.is_processor() &&
@@ -754,7 +740,7 @@ class Replayer {
 
   const core::SystemModel& sys_;
   const core::Schedule& schedule_;
-  const noc::FaultSet* faults_ = nullptr;
+  const noc::FaultSet& faults_;
   std::vector<int> pretested_;
   std::vector<LostSession> lost_;
   std::vector<SessionState> sessions_;
@@ -773,17 +759,12 @@ class Replayer {
 }  // namespace
 
 SimTrace replay(const core::SystemModel& sys, const core::Schedule& schedule) {
-  return Replayer(sys, schedule, nullptr).run();
-}
-
-DegradedReplay replay_degraded(const core::SystemModel& sys, const core::Schedule& schedule,
-                               const noc::FaultSet& faults) {
-  return replay_degraded(sys, schedule, faults, {});
+  return replay_degraded(sys, schedule, {}).trace;
 }
 
 DegradedReplay replay_degraded(const core::SystemModel& sys, const core::Schedule& schedule,
                                const noc::FaultSet& faults, std::span<const int> pretested) {
-  Replayer replayer(sys, schedule, &faults, pretested);
+  Replayer replayer(sys, schedule, faults, pretested);
   DegradedReplay result;
   result.trace = replayer.run();
   result.lost = replayer.take_lost();

@@ -12,10 +12,11 @@
 //   * each test pattern becomes a stimulus packet (worm) from the
 //     source to the core and a response packet from the core to the
 //     sink, sized by the wrapper/NoC characterization (flits_for_bits);
-//   * packets traverse their XY route wormhole-style: the head pays the
-//     routing latency per hop, body flits stream at the flow-control
-//     rate, a blocked head stalls in place holding its acquired
-//     channels, and releases back-propagate tail-accurately;
+//   * packets traverse their route (XY unless a fault detours it)
+//     wormhole-style: the head pays the routing latency per hop, body
+//     flits stream at the flow-control rate, a blocked head stalls in
+//     place holding its acquired channels, and releases back-propagate
+//     tail-accurately;
 //   * every directed channel carries one worm at a time (FIFO grant
 //     order), so link-level contention between concurrent sessions —
 //     which the planner only approximates as fluid bandwidth — shows up
@@ -25,7 +26,7 @@
 //     at line rate, wrapper scan shift), and a processor playing both
 //     roles serializes its generate and check jobs on one core;
 //   * each session follows the protocol the analytical model prices:
-//     one-time circuit setup of both XY paths, then the BIST prologue,
+//     one-time circuit setup of both paths, then the BIST prologue,
 //     then the pipelined pattern loop (a response leaves the wrapper
 //     scan_out_length cycles after its shift, overlapping the next
 //     shift-in), and finally a wrapper drain of the non-overlapped
@@ -53,9 +54,6 @@
 
 namespace nocsched::des {
 
-/// Replay `schedule` on `sys` and return the observed trace.
-[[nodiscard]] SimTrace replay(const core::SystemModel& sys, const core::Schedule& schedule);
-
 /// A planned session the degraded mesh cannot run at all.
 struct LostSession {
   int module_id = 0;
@@ -70,24 +68,26 @@ struct DegradedReplay {
   std::vector<LostSession> lost;  ///< plan order (start, module id)
 };
 
-/// Replay `schedule` — planned for the pristine system — on `sys`
-/// degraded by `faults`.  Sessions are routed fault-aware
-/// (noc::fault_route), so a detour costs extra setup hops and real
-/// channel contention; a session is lost when its module or an endpoint
-/// is a dead processor, no surviving route connects its endpoints, or
-/// the processor serving it lost its own test (transitively).  Lost
+/// Replay `schedule` on `sys` degraded by `faults` — the one replay
+/// path; the pristine system is the empty FaultSet.  Sessions are
+/// routed fault-aware (noc::fault_route, the XY route whenever it
+/// survives), so a detour costs extra setup hops and real channel
+/// contention; a session is lost when its module or an endpoint is a
+/// dead processor, no surviving route connects its endpoints, or the
+/// processor serving it lost its own test (transitively).  Lost
 /// sessions never launch, draw no power, and hold no channels.
-[[nodiscard]] DegradedReplay replay_degraded(const core::SystemModel& sys,
-                                             const core::Schedule& schedule,
-                                             const noc::FaultSet& faults);
-
-/// As above for a mid-timeline epoch: processors in `pretested`
-/// completed their own test in an earlier epoch, so sessions they serve
-/// launch without waiting for (or losing) a processor test this plan
-/// deliberately omits.
+///
+/// For a mid-timeline epoch, processors in `pretested` completed their
+/// own test in an earlier epoch, so sessions they serve launch without
+/// waiting for (or losing) a processor test this plan deliberately
+/// omits.
 [[nodiscard]] DegradedReplay replay_degraded(const core::SystemModel& sys,
                                              const core::Schedule& schedule,
                                              const noc::FaultSet& faults,
-                                             std::span<const int> pretested);
+                                             std::span<const int> pretested = {});
+
+/// Replay `schedule` on the pristine `sys` and return the observed
+/// trace: replay_degraded under the empty FaultSet, which loses nothing.
+[[nodiscard]] SimTrace replay(const core::SystemModel& sys, const core::Schedule& schedule);
 
 }  // namespace nocsched::des

@@ -316,7 +316,11 @@ PlanRequest parse_request(std::string_view text, std::string_view source, std::s
           sc.die("unknown \"search\" strategy '", s, "' (expected restart|anneal|local)");
         }
       } else if (key == "iters") {
-        req.iters = sc.parse_uint("\"iters\"");
+        const std::uint64_t iters = sc.parse_uint("\"iters\"");
+        if (iters > kMaxIters) {
+          sc.die("\"iters\" ", iters, " is out of range (at most ", kMaxIters, ")");
+        }
+        req.iters = iters;
       } else if (key == "seed") {
         req.seed = sc.parse_uint("\"seed\"");
       } else if (key == "simulate") {

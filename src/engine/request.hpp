@@ -32,6 +32,11 @@ namespace nocsched::engine {
 /// router count a request may build.
 inline constexpr std::uint64_t kMaxMeshSide = 64;
 
+/// Largest accepted "iters" on the wire: one request's search work is
+/// bounded, so a hostile value cannot stall its batch and every request
+/// behind it.  The CLI's --iters is operator input and stays uncapped.
+inline constexpr std::uint64_t kMaxIters = 16384;
+
 /// Names one buildable system: the cacheable, request-independent part
 /// of a PlanRequest.  Two requests with equal cache_key()s share one
 /// PlanContext (SystemModel + pristine PairTable + search scaffolding).
@@ -95,7 +100,7 @@ struct PlanRequest {
 ///   "policy" ("longest"|"distance"|"shortest"),
 ///   "choice" ("greedy"|"earliest"), "mesh" ("CxR"),
 ///   "power" (number in (0, 100]), "search" ("restart"|"anneal"|"local"),
-///   "iters" (uint), "seed" (uint), "simulate" (true|false),
+///   "iters" (uint, at most kMaxIters), "seed" (uint), "simulate" (true|false),
 ///   "faults" ({"links": [..], "routers": [..], "procs": [..]})
 /// Throws nocsched::Error with a "<source>:<line>: " prefix on any
 /// violation — unknown or duplicate keys, an unknown SoC, an

@@ -64,6 +64,7 @@ bool FaultSet::channel_usable(const Mesh& mesh, ChannelId c) const {
 }
 
 bool FaultSet::route_usable(const Mesh& mesh, std::span<const ChannelId> path) const {
+  if (empty()) return true;  // the pristine system: every route survives
   for (ChannelId c : path) {
     if (!channel_usable(mesh, c)) return false;
   }
@@ -77,10 +78,11 @@ std::string FaultSet::describe() const {
 
 std::optional<std::vector<ChannelId>> fault_route(const Mesh& mesh, const FaultSet& faults,
                                                   RouterId from, RouterId to) {
+  // Fast path: the deterministic XY route, whenever it survives —
+  // always, on the pristine system (the empty FaultSet).
+  if (faults.empty()) return xy_route(mesh, from, to);
   if (faults.router_failed(from) || faults.router_failed(to)) return std::nullopt;
   if (from == to) return std::vector<ChannelId>{};
-
-  // Fast path: the deterministic XY route, whenever it survives.
   std::vector<ChannelId> xy = xy_route(mesh, from, to);
   if (faults.route_usable(mesh, xy)) return xy;
 

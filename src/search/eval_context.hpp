@@ -27,6 +27,9 @@ namespace nocsched::search {
 
 class EvalContext {
  public:
+  /// Pristine context: builds PairTable(sys) and plans every module of
+  /// `sys` (a module the budget cannot serve makes planning throw; it
+  /// is never silently dropped).
   EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget);
 
   /// As the two-argument form, with the pristine PairTable moved in
@@ -35,29 +38,25 @@ class EvalContext {
   /// pristine table to budget-specific contexts this way, skipping the
   /// table build (the expensive part of context construction) on every
   /// cache hit.  The resulting context is indistinguishable from the
-  /// two-argument form — asserted by tests/engine/.
-  EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget,
-              core::PairTable&& table);
-
-  /// Degraded-system context for fault-aware replanning: `table` must
-  /// be the PairTable of `sys` under `faults` (from-scratch or via
-  /// apply_faults — the caller picks the build path, which is what the
-  /// fault-sweep bench measures).  Dead processors are masked out of
-  /// the eligibility bitmap, modules with no surviving pair are
-  /// excluded from the base order (search::replan reports them), and
-  /// evaluation plans the surviving subset only.  The table is an
+  /// two-argument form — asserted by tests/engine/.  The table is an
   /// owning sink (rvalue reference per rule D4): callers move a table
   /// in rather than copying one that is shared elsewhere.
   EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget,
-              core::PairTable&& table, const noc::FaultSet& faults);
+              core::PairTable&& table);
 
-  /// Mid-timeline degraded context: on top of the fault masking above,
-  /// only modules whose `candidates` bit (by module id - 1) is set are
-  /// planned — modules already tested in earlier epochs are not — and
-  /// processors in `pretested` completed their own test in an earlier
-  /// epoch, so they serve from instant 0 and never strand a client in
-  /// the testability fixpoint.  `pretested` must be ascending, unique,
-  /// live (not in `faults`) processor module ids.
+  /// Degraded context for fault-aware replanning: `table` must be the
+  /// PairTable of `sys` under `faults` (from-scratch or via
+  /// apply_faults — the caller picks the build path, which is what the
+  /// fault-sweep bench measures).  Dead processors are masked out of
+  /// the eligibility bitmap, and only modules whose `candidates` bit (by
+  /// module id - 1) is set and that the table can serve under the
+  /// budget are planned: the rest are search::replan's reported losses
+  /// (all-true candidates for a one-shot replan; a timeline epoch
+  /// clears the modules earlier epochs tested).  Processors in
+  /// `pretested` completed their own test in an earlier epoch, so they
+  /// serve from instant 0 and never strand a client in the testability
+  /// fixpoint.  `pretested` must be ascending, unique, live (not in
+  /// `faults`) processor module ids.
   EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget,
               core::PairTable&& table, const noc::FaultSet& faults,
               const std::vector<bool>& candidates, std::vector<int> pretested);

@@ -11,7 +11,7 @@ namespace {
 ReplanResult replan_with_table(const core::SystemModel& sys, const power::PowerBudget& budget,
                                const noc::FaultSet& faults, const SearchOptions& options,
                                core::PairTable&& table, std::size_t pairs_rebuilt,
-                               const std::vector<bool>* candidates,
+                               const std::vector<bool>& candidates,
                                std::vector<int> pretested) {
   // Replan latency shows up as one "replan" span (the nested search /
   // pair-table spans decompose it) and the coverage outcome as fault.*
@@ -24,7 +24,7 @@ ReplanResult replan_with_table(const core::SystemModel& sys, const power::PowerB
     // Non-candidates (modules already tested in earlier epochs) are not
     // this replan's problem: they classify as nothing at all, so the
     // timeline's per-epoch coverage sums never double-count.
-    if (candidates != nullptr && !(*candidates)[static_cast<std::size_t>(m.id - 1)]) continue;
+    if (!candidates[static_cast<std::size_t>(m.id - 1)]) continue;
     if (m.is_processor && faults.processor_failed(m.id)) {
       result.dead_modules.push_back(m.id);
     } else if (!testable[static_cast<std::size_t>(m.id - 1)]) {
@@ -33,11 +33,7 @@ ReplanResult replan_with_table(const core::SystemModel& sys, const power::PowerB
       result.planned_modules.push_back(m.id);
     }
   }
-  const EvalContext ctx =
-      candidates == nullptr
-          ? EvalContext(sys, budget, std::move(table), faults)
-          : EvalContext(sys, budget, std::move(table), faults, *candidates,
-                        std::move(pretested));
+  const EvalContext ctx(sys, budget, std::move(table), faults, candidates, std::move(pretested));
   SearchResult search = search_orders(ctx, options);
   result.schedule = std::move(search.best);
   result.metrics = std::move(search.metrics);
@@ -58,12 +54,17 @@ ReplanResult replan_with_table(const core::SystemModel& sys, const power::PowerB
   return result;
 }
 
+/// A one-shot replan wants every module: the all-true candidates bitmap.
+std::vector<bool> all_modules(const core::SystemModel& sys) {
+  return std::vector<bool>(sys.soc().modules.size(), true);
+}
+
 }  // namespace
 
 ReplanResult replan(const core::SystemModel& sys, const power::PowerBudget& budget,
                     const noc::FaultSet& faults, const SearchOptions& options) {
   return replan_with_table(sys, budget, faults, options, core::PairTable(sys, faults), 0,
-                           nullptr, {});
+                           all_modules(sys), {});
 }
 
 ReplanResult replan(const core::SystemModel& sys, const power::PowerBudget& budget,
@@ -72,7 +73,7 @@ ReplanResult replan(const core::SystemModel& sys, const power::PowerBudget& budg
   core::PairTable degraded = pristine;
   const std::size_t rebuilt = degraded.apply_faults(sys, faults);
   return replan_with_table(sys, budget, faults, options, std::move(degraded), rebuilt,
-                           nullptr, {});
+                           all_modules(sys), {});
 }
 
 ReplanResult replan_subset(const core::SystemModel& sys, const power::PowerBudget& budget,
@@ -80,7 +81,7 @@ ReplanResult replan_subset(const core::SystemModel& sys, const power::PowerBudge
                            core::PairTable&& table, std::size_t pairs_rebuilt,
                            const std::vector<bool>& candidates, std::vector<int> pretested) {
   return replan_with_table(sys, budget, faults, options, std::move(table), pairs_rebuilt,
-                           &candidates, std::move(pretested));
+                           candidates, std::move(pretested));
 }
 
 }  // namespace nocsched::search

@@ -13,7 +13,10 @@
 // degraded PairTable from scratch, the `pristine` overload copies a
 // prebuilt pristine table and incrementally re-enumerates only the
 // fault-touched modules (PairTable::apply_faults).  They produce
-// bit-identical results; bench/fault_sweep measures the gap.
+// bit-identical results; bench/fault_sweep measures the gap.  All three
+// entry points plan through one degraded search::EvalContext: a
+// one-shot replan is replan_subset with every module a candidate and
+// no pretested processors.
 
 #include <cstdint>
 #include <vector>

@@ -4,13 +4,15 @@
 // Replays a Schedule against the SystemModel and re-checks every
 // constraint the planner is supposed to honour:
 //
-//   1. every module is tested exactly once;
+//   1. every module is tested exactly once (at most once for a
+//      fault-aware replan, see below);
 //   2. sessions have sane extents and makespan equals the last end;
 //   3. no resource (ATE port or processor) serves two overlapping
 //      sessions, and ATE ports only play their legal role;
 //   4. a processor serves sessions only after its own test completed;
 //   5. no directed NoC channel carries two overlapping sessions, and
-//      every recorded path is the XY route the mesh would produce;
+//      every recorded path is the route noc::fault_route produces (the
+//      XY route whenever it survives the faults);
 //   6. the summed power never exceeds the budget, and the recorded
 //      per-session power and duration match the cost model;
 //   7. sources can source, sinks can sink, and a module never tests
@@ -54,33 +56,32 @@ struct ValidationReport {
                                                       int source, int sink,
                                                       const Interval& iv);
 
-/// Collect all violations (empty report = valid plan).
+/// Collect all violations of a pristine plan (empty report = valid
+/// plan): every module must be tested exactly once.
 [[nodiscard]] ValidationReport validate(const core::SystemModel& sys,
                                         const core::Schedule& schedule);
 
-/// Validate a fault-aware replan of the degraded system: coverage
-/// relaxes to "each module at most once" (dead or unroutable modules
-/// are legitimately absent — search::replan reports them), paths must
-/// be the deterministic fault-aware routes (so they never traverse a
-/// failed channel or router), no session may touch a failed processor,
-/// and recorded costs must match the fault-aware cost model.
-[[nodiscard]] ValidationReport validate(const core::SystemModel& sys,
-                                        const core::Schedule& schedule,
-                                        const noc::FaultSet& faults);
-
-/// As above for a mid-timeline epoch plan: processors in `pretested`
-/// completed their own test in an earlier epoch, so they are ready from
-/// instant 0 and need no session of their own here.
+/// Validate a fault-aware replan of `sys` degraded by `faults`:
+/// coverage relaxes to "each module at most once" (dead, unroutable or
+/// power-infeasible modules are legitimately absent — search::replan
+/// reports them), paths must be the deterministic fault-aware routes
+/// (so they never traverse a failed channel or router), no session may
+/// touch a failed processor, and recorded costs must match the
+/// fault-aware cost model.  The relaxed coverage comes with this
+/// overload, not with a non-empty `faults`: an empty FaultSet still
+/// validates at-most-once (a timeline's epoch 0 plans under it).
+/// Processors in `pretested` completed their own test in an earlier
+/// timeline epoch, so they are ready from instant 0 and need no session
+/// of their own here.
 [[nodiscard]] ValidationReport validate(const core::SystemModel& sys,
                                         const core::Schedule& schedule,
                                         const noc::FaultSet& faults,
-                                        std::span<const int> pretested);
+                                        std::span<const int> pretested = {});
 
-/// Throw nocsched::Error listing the violations, if any.
+/// Throw nocsched::Error listing the violations of the matching
+/// validate overload, if any.
 void validate_or_throw(const core::SystemModel& sys, const core::Schedule& schedule);
 void validate_or_throw(const core::SystemModel& sys, const core::Schedule& schedule,
-                       const noc::FaultSet& faults);
-void validate_or_throw(const core::SystemModel& sys, const core::Schedule& schedule,
-                       const noc::FaultSet& faults, std::span<const int> pretested);
+                       const noc::FaultSet& faults, std::span<const int> pretested = {});
 
 }  // namespace nocsched::sim

@@ -290,6 +290,22 @@ else
   fails=$((fails + 1))
 fi
 
+# "iters" is capped on the wire: a hostile search budget gets an exact
+# in-band diagnostic instead of stalling its batch, and the request
+# behind it is still answered.
+iters_err=$(printf '%s\n' \
+  '{"soc":"p93791","search":"anneal","iters":100000000000}' \
+  '{"id":"after","soc":"d695","search":"anneal","iters":16}' \
+  | "$cli" --serve 2>/dev/null)
+rc=$?
+case "$rc:$iters_err" in
+  0:'{"id": "line-1", "ok": false, "error": "stdin:1: \"iters\" 100000000000 is out of range (at most 16384)"}
+{"id": "after", "ok": true'*)
+    echo "ok: --serve rejects an out-of-range iters in-band and keeps serving" ;;
+  *) echo "FAIL: --serve iters cap (rc=$rc): $iters_err" >&2
+     fails=$((fails + 1)) ;;
+esac
+
 # The one-shot --mesh flag applies the same checks.
 for case in "--soc rand:7 --mesh 4294967300x2|nocsched_cli: --mesh 4294967300x2 is out of range (each side in [1, 64])" \
             "--soc rand:7 --mesh 0x2|nocsched_cli: --mesh 0x2 is out of range (each side in [1, 64])" \

@@ -85,6 +85,12 @@ TEST(RequestParse, RandSocTakesMeshUpToTheSideCap) {
   EXPECT_EQ(req.system.mesh_rows, 2);
 }
 
+TEST(RequestParse, ItersUpToTheCap) {
+  const engine::PlanRequest req = parse(R"({"search": "restart", "iters": 16384})");
+  ASSERT_TRUE(req.iters.has_value());
+  EXPECT_EQ(*req.iters, engine::kMaxIters);
+}
+
 TEST(RequestParse, WhitespaceIsInsignificant) {
   const engine::PlanRequest a = parse(R"({"procs": 4, "power": 50})");
   const engine::PlanRequest b = parse(R"(  { "procs" :4 ,"power": 50 }  )");
@@ -108,6 +114,12 @@ TEST(RequestParse, ExactDiagnostics) {
   EXPECT_EQ(parse_error(R"({"procs": 2, "procs": 3})"), "req:7: duplicate \"procs\" key");
   EXPECT_EQ(parse_error(R"({"procs": 65})"),
             "req:7: \"procs\" 65 is out of range (at most 64)");
+  // A search's work is capped on the wire: this request used to stall
+  // its whole batch.
+  EXPECT_EQ(parse_error(R"({"soc":"p93791","search":"anneal","iters":100000000000})"),
+            "req:7: \"iters\" 100000000000 is out of range (at most 16384)");
+  EXPECT_EQ(parse_error(R"({"iters": 16385})"),
+            "req:7: \"iters\" 16385 is out of range (at most 16384)");
   EXPECT_EQ(parse_error(R"({"cpu": "vax"})"),
             "req:7: unknown \"cpu\" 'vax' (expected leon|plasma)");
   EXPECT_EQ(parse_error(R"({"wrapper": 0})"),

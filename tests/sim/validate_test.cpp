@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/strings.hpp"
+#include "core/pair_table.hpp"
 #include "core/scheduler.hpp"
 
 namespace nocsched::sim {
@@ -34,6 +40,33 @@ TEST(Validate, AcceptsPlannerOutput) {
   const ValidationReport report = validate(f.sys, f.schedule);
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations[0]);
   EXPECT_NO_THROW(validate_or_throw(f.sys, f.schedule));
+}
+
+// Coverage strictness is chosen by the overload, never by whether the
+// FaultSet is empty: a timeline's epoch 0 plans under FaultSet{} and may
+// legitimately omit a module, while the two-argument form keeps
+// demanding every module exactly once.
+TEST(Validate, CoverageStrictnessFollowsTheOverloadNotTheFaultSet) {
+  Fixture f;
+  const power::PowerBudget budget = power::PowerBudget::fraction_of_total(f.sys.soc(), 0.5);
+  std::vector<int> order = core::priority_order(f.sys);
+  const auto omitted = std::find_if(order.rbegin(), order.rend(), [&](int id) {
+    return !f.sys.soc().module(id).is_processor;
+  });
+  ASSERT_NE(omitted, order.rend());
+  const int missing = *omitted;
+  order.erase(std::next(omitted).base());
+  const Schedule plan = core::plan_tests_subset(f.sys, budget, order, core::PairTable(f.sys));
+
+  const ValidationReport relaxed = validate(f.sys, plan, noc::FaultSet{});
+  EXPECT_TRUE(relaxed.ok()) << (relaxed.violations.empty() ? "" : relaxed.violations[0]);
+  EXPECT_NO_THROW(validate_or_throw(f.sys, plan, noc::FaultSet{}));
+
+  const ValidationReport strict = validate(f.sys, plan);
+  ASSERT_EQ(strict.violations.size(), 1u);
+  EXPECT_TRUE(has_violation(strict, cat("module ", missing, " ('")));
+  EXPECT_TRUE(has_violation(strict, "tested 0 times"));
+  EXPECT_THROW(validate_or_throw(f.sys, plan), Error);
 }
 
 TEST(Validate, DetectsMissingModule) {

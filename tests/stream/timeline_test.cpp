@@ -10,9 +10,12 @@
 #include <algorithm>
 #include <string>
 
+#include "core/pair_table.hpp"
+#include "engine/context_cache.hpp"
 #include "power/budget.hpp"
 #include "report/timeline_report.hpp"
 #include "search/fault_stream.hpp"
+#include "sim/validate.hpp"
 
 namespace nocsched::sim {
 namespace {
@@ -47,6 +50,31 @@ TEST(Timeline, EmptyStreamIsOnePristineEpoch) {
   EXPECT_DOUBLE_EQ(result.makespan_stretch(), 1.0);
   EXPECT_EQ(result.wasted_cycles, 0u);
   EXPECT_EQ(result.final_makespan, result.pristine_makespan);
+}
+
+// Epoch 0 plans under the empty FaultSet, yet it may legitimately drop
+// a module: at 60% power one core of rand:1135 (no reused processors)
+// has no session cheap enough.  The timeline audit must accept that
+// plan (at-most-once coverage) while the pristine validator, which
+// demands every module, rejects it.
+TEST(Timeline, PowerInfeasibleModuleIsDroppedAtEpochZero) {
+  engine::SystemSpec spec;
+  spec.soc = "rand:1135";
+  spec.procs = 0;
+  const core::SystemModel sys = engine::build_system(spec);
+  const power::PowerBudget budget = power::PowerBudget::fraction_of_total(sys.soc(), 0.6);
+  const std::vector<bool> testable = core::PairTable(sys).testable_modules(sys, budget.limit);
+  ASSERT_EQ(std::count(testable.begin(), testable.end(), false), 1);
+
+  const search::FaultStream stream;  // no events: one pristine epoch
+  const TimelineResult result =
+      replay_timeline(sys, budget, stream, search::SearchOptions{});
+  expect_valid(sys, stream, result);
+  ASSERT_EQ(result.epochs.size(), 1u);
+  EXPECT_TRUE(result.epochs[0].faults.empty());
+  EXPECT_EQ(result.epochs[0].replan.untestable_modules.size(), 1u);
+  EXPECT_EQ(result.uncovered_modules, result.epochs[0].replan.untestable_modules);
+  EXPECT_FALSE(validate(sys, result.epochs[0].replan.schedule).ok());
 }
 
 TEST(Timeline, EventAtCycleZeroCancelsEverything) {
