@@ -2,8 +2,8 @@
 // on each of the three paper systems, priced two ways — the full lane
 // plans every order from scratch with the reference planner
 // (tests/oracle/), the delta lane re-prices the same sequence through
-// one DeltaPlanner (checkpointed PlannerState + suffix re-pricing,
-// evaluate on every proposal, adopt on every accepted move).  The
+// one DeltaPlanner (suffix re-pricing over the incumbent's commit
+// trace, evaluate on every proposal, adopt on every accepted move).  The
 // machine-readable "DE" rows feed the delta_eval section of
 // BENCH_headline.json (via scripts/bench_headline_json.sh) so the
 // kernel's speedup is tracked across revisions.
@@ -151,7 +151,7 @@ int main() {
         }
       });
       const LaneResult delta = time_lane([&](LaneResult& run) {
-        core::DeltaPlanner dp = ctx.make_delta_planner(core::kCheckpointSpacing);
+        core::DeltaPlanner dp = ctx.make_delta_planner();
         run.makespans.push_back(dp.plan_full(ctx.base_order()));
         for (const Step& step : walk) {
           run.makespans.push_back(dp.evaluate(step.order));

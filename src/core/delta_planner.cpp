@@ -18,33 +18,27 @@ void DeltaPlanner::Trace::clear() {
   order.clear();
   commits.clear();
   passes.clear();
-  checkpoints.clear();
-  checkpoint_commits.clear();
   makespan = 0;
   peak_power = 0.0;
 }
 
 DeltaPlanner::DeltaPlanner(const SystemModel& sys, const power::PowerBudget& budget,
-                           const PairTable& table, std::vector<int> pretested,
-                           std::uint32_t checkpoint_spacing)
+                           const PairTable& table, std::vector<int> pretested)
     : sys_(sys),
       budget_(budget),
       table_(table),
       pretested_(std::move(pretested)),
-      spacing_(std::max<std::uint32_t>(checkpoint_spacing, 1)),
       first_available_(sys.params().resource_choice == ResourceChoice::kFirstAvailable),
       fastest_(sys.params().pair_order == PairOrder::kFastestFirst),
       mask_filter_(sys.endpoints().size() <= 64) {
   const std::vector<Endpoint>& eps = sys_.endpoints();
-  PlannerState init_state;
-  init_state.init(sys_);
+  initial_.init(sys_);
   for (std::size_t r = 0; r < eps.size(); ++r) {
     if (!eps[r].is_processor()) continue;
     for (const int id : pretested_) {
-      if (eps[r].processor_module == id) init_state.set_available_from(r, 0);
+      if (eps[r].processor_module == id) initial_.set_available_from(r, 0);
     }
   }
-  initial_ = std::make_shared<const PlannerState>(std::move(init_state));
 
   proc_resource_.assign(sys_.soc().modules.size() + 1, PlannerState::npos);
   for (std::size_t r = 0; r < eps.size(); ++r) {
@@ -87,53 +81,12 @@ void DeltaPlanner::apply_commit(const CommitRec& rec) {
 
 void DeltaPlanner::materialize_work(std::size_t commit_count) {
   // The candidate's first `commit_count` commits equal the base's, so
-  // every base checkpoint at or before that point is a valid restore
-  // target; take the nearest and replay the gap.  Checkpoints are lazy:
-  // each C-commit boundary crossed during the replay is snapshotted
-  // into the base so the next replan restores closer.  (Live planning
-  // never snapshots — most candidates are rejected, so their state
-  // would be copied only to be thrown away.)
-  std::vector<std::uint32_t>& counts = base_.checkpoint_commits;
-  NOCSCHED_ASSERT(!counts.empty() && counts.front() == 0);
-  const auto it = std::upper_bound(counts.begin(), counts.end(), commit_count);
-  auto j = static_cast<std::size_t>(it - counts.begin()) - 1;
-  work_ = *base_.checkpoints[j];
-  for (std::size_t ci = counts[j]; ci < commit_count; ++ci) {
-    apply_commit(base_.commits[ci]);
-    ++stats_.replayed_commits;
-    const std::size_t done = ci + 1;
-    if (done % spacing_ == 0) {
-      // counts[j] < done <= commit_count < counts[j+1], so inserting
-      // right after j keeps the vectors sorted and duplicate-free.
-      ++j;
-      base_.checkpoints.insert(base_.checkpoints.begin() + static_cast<std::ptrdiff_t>(j),
-                               snapshot_work());
-      counts.insert(counts.begin() + static_cast<std::ptrdiff_t>(j),
-                    static_cast<std::uint32_t>(done));
-    }
-  }
+  // replaying them onto the initial state reproduces the candidate's
+  // state at the divergence point.
+  work_ = initial_;
+  for (std::size_t ci = 0; ci < commit_count; ++ci) apply_commit(base_.commits[ci]);
+  stats_.replayed_commits += commit_count;
   work_materialized_ = true;
-}
-
-std::shared_ptr<const PlannerState> DeltaPlanner::snapshot_work() {
-  if (!pool_.empty()) {
-    std::shared_ptr<PlannerState> buf = std::move(pool_.back());
-    pool_.pop_back();
-    *buf = work_;  // copy-assign reuses the retired buffer's capacity
-    return buf;
-  }
-  return std::make_shared<PlannerState>(work_);
-}
-
-void DeltaPlanner::recycle(Trace& trace) {
-  for (std::shared_ptr<const PlannerState>& cp : trace.checkpoints) {
-    // use_count 1 means no other trace (nor initial_) references the
-    // buffer, so snapshot_work may overwrite it.
-    if (cp.use_count() == 1) {
-      pool_.push_back(std::const_pointer_cast<PlannerState>(std::move(cp)));
-    }
-  }
-  trace.clear();
 }
 
 void DeltaPlanner::commit_live(std::uint32_t slot, int module_id, const Candidate& c) {
@@ -289,12 +242,10 @@ std::uint64_t DeltaPlanner::finish_candidate() {
 std::uint64_t DeltaPlanner::plan_full(const std::vector<int>& order) {
   precheck(order);
   ++stats_.full_plans;
-  recycle(cand_);
+  cand_.clear();
   cand_.order = order;
-  work_ = *initial_;
+  work_ = initial_;
   work_materialized_ = true;
-  cand_.checkpoints.push_back(initial_);
-  cand_.checkpoint_commits.push_back(0);
   live_pending_.clear();
   for (std::uint32_t slot = 0; slot < order.size(); ++slot) live_pending_.push_back(slot);
   if (!live_pending_.empty()) {
@@ -314,22 +265,9 @@ std::uint64_t DeltaPlanner::plan_full(const std::vector<int>& order) {
 
 std::uint64_t DeltaPlanner::evaluate(const std::vector<int>& order) {
   ensure(has_base_, "DeltaPlanner: evaluate before plan_full");
-  std::size_t pos = 0;
-  while (pos < order.size() && order[pos] == base_.order[pos]) ++pos;
-  if (pos == order.size()) {
-    ++stats_.noop_replans;
-    cand_valid_ = false;
-    return base_.makespan;
-  }
-  return replan_suffix(order, pos);
-}
-
-std::uint64_t DeltaPlanner::replan_suffix(const std::vector<int>& order,
-                                          std::size_t first_changed_pos) {
-  ensure(has_base_, "DeltaPlanner: replan_suffix before plan_full");
   NOCSCHED_ASSERT(order.size() == base_.order.size());
   changed_.clear();
-  for (std::size_t s = first_changed_pos; s < order.size(); ++s) {
+  for (std::size_t s = 0; s < order.size(); ++s) {
     if (order[s] != base_.order[s]) changed_.push_back(static_cast<std::uint32_t>(s));
   }
   if (changed_.empty()) {
@@ -338,7 +276,7 @@ std::uint64_t DeltaPlanner::replan_suffix(const std::vector<int>& order,
     return base_.makespan;
   }
   ++stats_.replans;
-  recycle(cand_);
+  cand_.clear();
   cand_.order = order;
   work_materialized_ = false;
   const std::uint64_t repriced_before = stats_.repriced_commits;
@@ -410,16 +348,10 @@ std::uint64_t DeltaPlanner::replan_first_available() {
 
     // Divergence in pass p at position diverge_slot with k reused
     // commits: keep the base's pass records through p (the prefix they
-    // describe is shared), restore the working state (which may lazily
-    // add base checkpoints), share the prefix checkpoints, and plan the
-    // rest live from the middle of this pass.
+    // describe is shared), rebuild the working state, and plan the rest
+    // live from the middle of this pass.
     cand_.passes.assign(passes.begin(), passes.begin() + static_cast<std::ptrdiff_t>(p) + 1);
     if (!work_materialized_) materialize_work(k);
-    for (std::size_t j = 0; j < base_.checkpoints.size(); ++j) {
-      if (base_.checkpoint_commits[j] > k) break;
-      cand_.checkpoints.push_back(base_.checkpoints[j]);
-      cand_.checkpoint_commits.push_back(base_.checkpoint_commits[j]);
-    }
     slot_committed_.assign(cand_.order.size(), 0);
     for (const CommitRec& rec : cand_.commits) slot_committed_[rec.slot] = 1;
     live_pending_.clear();
@@ -444,11 +376,6 @@ std::uint64_t DeltaPlanner::replan_earliest_completion() {
     ++stats_.reused_commits;
   }
   materialize_work(d);
-  for (std::size_t j = 0; j < base_.checkpoints.size(); ++j) {
-    if (base_.checkpoint_commits[j] > d) break;
-    cand_.checkpoints.push_back(base_.checkpoints[j]);
-    cand_.checkpoint_commits.push_back(base_.checkpoint_commits[j]);
-  }
   run_earliest_completion_live(d);
   return finish_candidate();
 }

@@ -1,6 +1,6 @@
 #pragma once
-// Delta-evaluation planning kernel: checkpointed PlannerState snapshots
-// plus suffix re-pricing.
+// Delta-evaluation planning kernel: suffix re-pricing over a commit
+// trace.
 //
 // Every plan in the library runs through this kernel: the
 // core::plan_tests* entry points plan an order from scratch with a
@@ -8,12 +8,12 @@
 // strategies, which mutate an order locally (a within-tier swap, a
 // shuffle) and re-price it, keep one per chain.  DeltaPlanner keeps the
 // *trace* of the incumbent order's plan — every commit in execution
-// order, the time-advance passes, and PlannerState checkpoints at
-// C-commit boundaries — and re-prices a perturbed order from the first
-// point where its execution can diverge from the incumbent's.
-// Checkpoints are created lazily, while replaying the shared prefix of
-// a replan (never while planning a candidate live), and their buffers
-// are pooled across replans.
+// order and the time-advance passes — and re-prices a perturbed order
+// from the first point where its execution can diverge from the
+// incumbent's.  The working PlannerState at that point is rebuilt by
+// replaying the shared prefix commits onto the initial state.  There
+// are no intermediate snapshots: a search replan typically re-prices
+// most of its commits, so it diverges before a snapshot would pay off.
 //
 // For ResourceChoice::kEarliestCompletion the planner commits orders
 // positionally, so the divergence point is simply the first changed
@@ -38,7 +38,6 @@
 // (accepted move) so later moves diff against it.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -50,19 +49,17 @@
 
 namespace nocsched::core {
 
-/// Commits between PlannerState checkpoints (C) for the library's own
-/// kernels: the plan_tests* entry points and every search chain.
-inline constexpr std::uint32_t kCheckpointSpacing = 16;
-
 /// Work tallies of one DeltaPlanner, for obs `delta.*` metrics and the
 /// delta_eval bench.  Plain counters: one planner lives on one thread.
 struct DeltaStats {
   std::uint64_t full_plans = 0;      ///< plan_full calls
-  std::uint64_t replans = 0;         ///< evaluate/replan_suffix with a real diff
+  std::uint64_t replans = 0;         ///< evaluate calls with a real diff
   std::uint64_t noop_replans = 0;    ///< evaluate of an order identical to the base
   std::uint64_t adoptions = 0;       ///< adopt() calls that promoted a candidate
   std::uint64_t reused_commits = 0;  ///< incumbent commits reused without re-pricing
-  std::uint64_t replayed_commits = 0;  ///< commits replayed checkpoint -> divergence
+  /// Shared-prefix commits replayed onto the initial state to rebuild
+  /// the working state at a replan's divergence point.
+  std::uint64_t replayed_commits = 0;
   std::uint64_t repriced_commits = 0;  ///< commits actually re-priced live
   std::uint64_t probes = 0;            ///< pair feasibility probes on the live path
   /// Re-priced commits of each replan, in call order (suffix-length
@@ -73,11 +70,9 @@ struct DeltaStats {
 class DeltaPlanner {
  public:
   /// `table` (and `sys`) must outlive the planner; `pretested` follows
-  /// plan_tests_subset semantics.  `checkpoint_spacing` is C, the
-  /// number of commits between PlannerState snapshots (>= 1).
+  /// plan_tests_subset semantics.
   DeltaPlanner(const SystemModel& sys, const power::PowerBudget& budget,
-               const PairTable& table, std::vector<int> pretested,
-               std::uint32_t checkpoint_spacing);
+               const PairTable& table, std::vector<int> pretested);
 
   /// Plan `order` from scratch, record it as the incumbent base, and
   /// return its makespan.  Mirrors the oracle planner including its
@@ -92,10 +87,6 @@ class DeltaPlanner {
   /// divergence.  Returns the makespan; the base is left untouched and
   /// the result is kept as the candidate for adopt().
   std::uint64_t evaluate(const std::vector<int>& order);
-
-  /// As evaluate(), for callers that already know the first changed
-  /// position (positions before `first_changed_pos` must be unchanged).
-  std::uint64_t replan_suffix(const std::vector<int>& order, std::size_t first_changed_pos);
 
   /// Promote the last evaluate() candidate to the incumbent base (call
   /// on an accepted move).  No-op when the last evaluate was a no-op
@@ -140,8 +131,6 @@ class DeltaPlanner {
     std::vector<int> order;
     std::vector<CommitRec> commits;
     std::vector<PassRec> passes;  ///< kFirstAvailable only
-    std::vector<std::shared_ptr<const PlannerState>> checkpoints;
-    std::vector<std::uint32_t> checkpoint_commits;  ///< commit count per checkpoint
     std::uint64_t makespan = 0;
     double peak_power = 0.0;
     void clear();
@@ -157,16 +146,11 @@ class DeltaPlanner {
   void precheck(const std::vector<int>& order) const;
   [[noreturn]] void diagnose_stuck(int module_id, std::uint64_t t) const;
 
-  /// Restore work_ to the candidate state after `commit_count` commits
-  /// (nearest checkpoint + replay); prefix commits live in cand_.
+  /// Rebuild work_ as the state after the first `commit_count` base
+  /// commits: copy initial_, then replay those commits.
   void materialize_work(std::size_t commit_count);
   void apply_commit(const CommitRec& rec);
   void commit_live(std::uint32_t slot, int module_id, const Candidate& c);
-  /// A snapshot of work_, served from pool_ when a buffer is free.
-  [[nodiscard]] std::shared_ptr<const PlannerState> snapshot_work();
-  /// Return `trace`'s no-longer-shared checkpoint buffers to pool_ and
-  /// clear the trace (the shared prefix and initial_ stay alive).
-  void recycle(Trace& trace);
   [[nodiscard]] std::optional<Candidate> probe_first_available(int module_id, std::uint64_t t);
   /// True unless no pair of `module_id` has both endpoint bits set in
   /// `mask` — the state-free screen run before a real probe.
@@ -187,7 +171,6 @@ class DeltaPlanner {
   power::PowerBudget budget_;
   const PairTable& table_;
   std::vector<int> pretested_;
-  std::uint32_t spacing_;
   bool first_available_;
   bool fastest_;
   bool mask_filter_;  ///< endpoint count fits the 64-bit availability mask
@@ -199,10 +182,7 @@ class DeltaPlanner {
   /// the pass-availability filter.  Empty when !mask_filter_.
   std::vector<std::vector<std::uint64_t>> pair_masks_;
 
-  std::shared_ptr<const PlannerState> initial_;
-  /// Retired checkpoint buffers, reused by snapshot_work so a snapshot
-  /// is a capacity-reusing copy-assign instead of a fresh allocation.
-  std::vector<std::shared_ptr<PlannerState>> pool_;
+  PlannerState initial_;  ///< empty schedule, pretested processors available
   Trace base_;
   Trace cand_;
   bool has_base_ = false;

@@ -173,39 +173,30 @@ std::vector<bool> PairTable::testable_modules(const SystemModel& sys, double pow
            "testable_modules: unknown pretested module id ", id);
     done[static_cast<std::size_t>(id - 1)] = true;
   }
-  std::vector<bool> testable(by_module_.size());
-  for (std::size_t i = 0; i < by_module_.size(); ++i) testable[i] = !by_module_[i].empty();
-  // Fixpoint: dropping a processor can strand the cores it exclusively
-  // served, which can strand further processors, and so on.  Terminates
-  // because bits only ever clear.  Pretested processors serve
-  // unconditionally — their own test already happened in an earlier
-  // epoch, so they never strand a client.
+  // Least fixpoint grounded in ATE sessions: a module becomes testable
+  // once one of its pairs fits the power limit and every processor
+  // endpoint of that pair is pretested or itself already testable.
+  // Starting from nothing means processors that could only test each
+  // other (say, with the ATE input router dead) are never grounded, so
+  // they and their exclusive clients are reported lost instead of
+  // leaving the planner stuck.  Terminates because bits only ever set.
+  std::vector<bool> testable(by_module_.size(), false);
+  auto serves = [&](std::size_t e) {
+    const Endpoint& ep = eps[e];
+    if (!ep.is_processor()) return true;
+    const auto j = static_cast<std::size_t>(ep.processor_module - 1);
+    return done[j] || testable[j];
+  };
   for (bool changed = true; changed;) {
     changed = false;
-    for (const itc02::Module& m : sys.soc().modules) {
-      const std::size_t i = static_cast<std::size_t>(m.id - 1);
-      if (!testable[i]) continue;
-      bool usable = false;
+    for (std::size_t i = 0; i < by_module_.size(); ++i) {
+      if (testable[i]) continue;
       for (const PairChoice& p : by_module_[i]) {
-        if (p.plan.power > power_limit) continue;
-        bool servers_alive = true;
-        for (const std::size_t e : {p.source, p.sink}) {
-          const Endpoint& ep = eps[e];
-          if (ep.is_processor() &&
-              !done[static_cast<std::size_t>(ep.processor_module - 1)] &&
-              !testable[static_cast<std::size_t>(ep.processor_module - 1)]) {
-            servers_alive = false;
-            break;
-          }
-        }
-        if (servers_alive) {
-          usable = true;
+        if (p.plan.power <= power_limit && serves(p.source) && serves(p.sink)) {
+          testable[i] = true;
+          changed = true;
           break;
         }
-      }
-      if (!usable) {
-        testable[i] = false;
-        changed = true;
       }
     }
   }

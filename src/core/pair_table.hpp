@@ -76,10 +76,12 @@ class PairTable {
   /// under a peak-power limit, indexed by module id - 1.  A module is
   /// testable when it has at least one *usable* pair: session power
   /// within `power_limit`, and every processor endpoint itself
-  /// testable — a processor that lost its own test can never serve, so
-  /// losses cascade to the cores it exclusively served (computed as a
-  /// fixpoint).  The fault-aware replanner plans exactly this set and
-  /// reports the complement instead of letting the planner get stuck.
+  /// testable — a processor serves only after its own test, so the set
+  /// is the least fixpoint grounded in ATE sessions.  Losses cascade to
+  /// the cores a lost processor exclusively served, and processors that
+  /// could only test one another are lost together.  The fault-aware
+  /// replanner plans exactly this set and reports the complement
+  /// instead of letting the planner get stuck.
   ///
   /// Processors named in `pretested` (ascending module ids) already
   /// passed their own test in an earlier timeline epoch, so they serve

@@ -5,13 +5,14 @@
 // keeps its booking state (resource busy windows, channel reservations
 // or loads, the power envelope, per-processor availability frontiers)
 // in std::map-backed structures rebuilt on every run.  The planning
-// kernel needs that state as an explicit *value*: cheap to snapshot,
-// cheap to restore, and bit-identical in every feasibility answer to
-// the structures the oracle consults.
+// kernel needs that state as an explicit *value*: cheap to copy, and
+// bit-identical in every feasibility answer to the structures the
+// oracle consults.
 //
 // Layout is structure-of-arrays: one flat vector per concern, indexed
 // by endpoint or channel id, instead of an array of per-resource
-// structs.  Restoring a checkpoint is then a handful of vector
+// structs.  Resetting the kernel's working state to the initial state
+// before a replan's prefix replay is then a handful of vector
 // assignments that reuse the destination's capacity — no node churn.
 // The power envelopes use StepProfile, a flat sorted-array replica of
 // power::PowerProfile whose query results (including every

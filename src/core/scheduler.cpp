@@ -95,8 +95,7 @@ namespace {
 Schedule plan_order(const SystemModel& sys, const power::PowerBudget& budget,
                     const std::vector<int>& order, const PairTable& pairs,
                     std::span<const int> pretested) {
-  DeltaPlanner planner(sys, budget, pairs, std::vector<int>(pretested.begin(), pretested.end()),
-                       kCheckpointSpacing);
+  DeltaPlanner planner(sys, budget, pairs, std::vector<int>(pretested.begin(), pretested.end()));
   (void)planner.plan_full(order);
   Schedule out = planner.materialize();
   obs::MetricsRegistry& reg = obs::registry();

@@ -90,49 +90,19 @@ obs::MetricsSnapshot publish(const RunTotals& t) {
 
   obs::MetricsRegistry& reg = obs::registry();
   if (reg.enabled()) {
-    // References resolved once: the registry never destroys metrics.
+    // The registry receives exactly the snapshot's keys; the histogram
+    // is observed per suffix below rather than merged as a snapshot.
     static obs::Counter& runs = reg.counter("search.runs");
-    static obs::Counter& evaluations = reg.counter("search.evaluations");
-    static obs::Counter& proposals = reg.counter("search.proposals");
-    static obs::Counter& accepted = reg.counter("search.accepted");
-    static obs::Counter& resets = reg.counter("search.resets");
-    static obs::Counter& improvements = reg.counter("search.improvements");
-    static obs::Counter& converged = reg.counter("search.converged_chains");
     runs.inc();
-    evaluations.add(t.evaluations);
-    proposals.add(t.proposals);
-    accepted.add(t.accepted);
-    resets.add(t.resets);
-    improvements.add(t.improvements);
-    converged.add(t.converged_chains);
+    for (const auto& [name, value] : snap.counters) reg.counter(name).add(value);
+    for (const auto& [name, value] : snap.gauges) reg.gauge(name).set(value);
+    for (const auto& [name, value] : snap.info) reg.set_info(name, value);
     if (delta_ran) {
-      static obs::Counter& full_plans = reg.counter("delta.full_plans");
-      static obs::Counter& replans = reg.counter("delta.replans");
-      static obs::Counter& noop_replans = reg.counter("delta.noop_replans");
-      static obs::Counter& adoptions = reg.counter("delta.adoptions");
-      static obs::Counter& reused = reg.counter("delta.reused_commits");
-      static obs::Counter& replayed = reg.counter("delta.replayed_commits");
-      static obs::Counter& repriced = reg.counter("delta.repriced_commits");
-      static obs::Counter& probes = reg.counter("delta.probes");
-      static obs::Histogram& suffixes =
-          reg.histogram("delta.suffix_commits", suffix_bounds());
-      full_plans.add(t.delta.full_plans);
-      replans.add(t.delta.replans);
-      noop_replans.add(t.delta.noop_replans);
-      adoptions.add(t.delta.adoptions);
-      reused.add(t.delta.reused_commits);
-      replayed.add(t.delta.replayed_commits);
-      repriced.add(t.delta.repriced_commits);
-      probes.add(t.delta.probes);
+      static obs::Histogram& suffixes = reg.histogram("delta.suffix_commits", suffix_bounds());
       // Chain order: suffix_lengths was concatenated by the serial
       // reduction, so the histogram totals are jobs-independent.
       for (const std::uint32_t len : t.delta.suffix_lengths) suffixes.observe(len);
     }
-    reg.gauge("search.iterations").set(static_cast<std::int64_t>(t.iters));
-    reg.gauge("search.chains").set(static_cast<std::int64_t>(t.chains));
-    reg.gauge("search.first_makespan").set(static_cast<std::int64_t>(t.first_makespan));
-    reg.gauge("search.best_makespan").set(static_cast<std::int64_t>(t.best_makespan));
-    reg.set_info("search.strategy", t.strategy);
   }
   return snap;
 }
@@ -158,12 +128,12 @@ ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
   state.budget = budget;
   const bool warm_start = strategy.init_chain(state, ctx, warm_order, chain, rng);
 
-  // One delta kernel per chain — it is stateful (incumbent trace and
-  // checkpoints), so chains never share one.  A single-evaluation
+  // One delta kernel per chain — it is stateful (the incumbent's
+  // commit trace), so chains never share one.  A single-evaluation
   // chain (restart shuffles) has no incumbent to diff against; it
   // keeps the plain from-scratch path.
   std::optional<core::DeltaPlanner> delta;
-  if (budget > 1) delta.emplace(ctx.make_delta_planner(core::kCheckpointSpacing));
+  if (budget > 1) delta.emplace(ctx.make_delta_planner());
 
   ChainOutcome out;
   if (warm_start) {

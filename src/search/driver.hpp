@@ -57,6 +57,8 @@ struct SearchOptions {
 ///          delta.adoptions delta.reused_commits delta.replayed_commits
 ///          delta.repriced_commits delta.probes   (chains with budget > 1)
 ///   hist   delta.suffix_commits — re-priced commits per replan
+/// (delta.replayed_commits counts the shared-prefix commits each replan
+/// replays onto the kernel's initial state before re-pricing.)
 struct SearchResult {
   core::Schedule best;
   std::uint64_t first_makespan = 0;
@@ -67,9 +69,9 @@ struct SearchResult {
 /// candidate order goes through the same planning kernel (and is
 /// validated by callers exactly like a greedy plan): chains with a
 /// budget > 1 price proposals through a per-chain core::DeltaPlanner
-/// (checkpointed suffix re-pricing, bit-identical to a from-scratch
-/// plan), single-evaluation chains plan from scratch.  The best
-/// schedule is re-planned once from the winning chain's order.
+/// (suffix re-pricing, bit-identical to a from-scratch plan),
+/// single-evaluation chains plan from scratch.  The best schedule is
+/// re-planned once from the winning chain's order.
 [[nodiscard]] SearchResult search_orders(const core::SystemModel& sys,
                                          const power::PowerBudget& budget,
                                          const SearchOptions& options);

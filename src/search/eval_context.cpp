@@ -88,8 +88,8 @@ core::Schedule EvalContext::plan(const std::vector<int>& order) const {
   return core::plan_tests_subset(sys_, budget_, order, pairs_, pretested_);
 }
 
-core::DeltaPlanner EvalContext::make_delta_planner(std::uint32_t checkpoint_spacing) const {
-  return core::DeltaPlanner(sys_, budget_, pairs_, pretested_, checkpoint_spacing);
+core::DeltaPlanner EvalContext::make_delta_planner() const {
+  return core::DeltaPlanner(sys_, budget_, pairs_, pretested_);
 }
 
 std::vector<int> EvalContext::projected_order(const std::vector<int>& preferred) const {

@@ -73,8 +73,8 @@ class EvalContext {
   /// evaluate() accepts, bit-identically, re-pricing only the schedule
   /// suffix a move perturbs.  The kernel borrows this context's table —
   /// it must not outlive the context.  One kernel per search chain: it
-  /// is stateful (incumbent trace + checkpoints) and single-threaded.
-  [[nodiscard]] core::DeltaPlanner make_delta_planner(std::uint32_t checkpoint_spacing) const;
+  /// is stateful (the incumbent's commit trace) and single-threaded.
+  [[nodiscard]] core::DeltaPlanner make_delta_planner() const;
 
   /// The deterministic priority order (concatenation of the tiers).
   [[nodiscard]] const std::vector<int>& base_order() const { return base_order_; }

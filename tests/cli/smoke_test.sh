@@ -306,6 +306,20 @@ case "$rc:$iters_err" in
      fails=$((fails + 1)) ;;
 esac
 
+# A dead ATE input router leaves the two processors able to test only
+# each other: nothing is grounded in an ATE session, so every module is
+# reported as lost coverage in-band instead of "planner stuck".
+ate_dead=$(printf '%s\n' '{"soc":"p93791","procs":2,"faults":{"routers":[0]}}' \
+  | "$cli" --serve 2>/dev/null)
+rc=$?
+ate_dead_want='{"id": "line-1", "ok": true, "soc": "p93791_leon", "makespan": 0, "peak_power": 0, "sessions": 0, "dead": [], "untestable": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34], "pairs_rebuilt": 34}'
+if [ "$rc" -eq 0 ] && [ "$ate_dead" = "$ate_dead_want" ]; then
+  echo "ok: --serve reports a dead ATE router as lost coverage"
+else
+  echo "FAIL: --serve dead ATE router (rc=$rc): $ate_dead" >&2
+  fails=$((fails + 1))
+fi
+
 # The one-shot --mesh flag applies the same checks.
 for case in "--soc rand:7 --mesh 4294967300x2|nocsched_cli: --mesh 4294967300x2 is out of range (each side in [1, 64])" \
             "--soc rand:7 --mesh 0x2|nocsched_cli: --mesh 0x2 is out of range (each side in [1, 64])" \

@@ -163,6 +163,30 @@ TEST(Replan, StrandedProcessorCascadesToItsExclusiveClients) {
   sim::validate_or_throw(sys, result.schedule, faults);
 }
 
+TEST(Replan, DeadAteInputRouterReportsLostCoverageNotStuck) {
+  // Regression: with the ATE input router dead, each of the two
+  // processors keeps a pair served by the other one, but neither can
+  // ever be tested first.  Testability is grounded in ATE sessions, so
+  // the whole system is reported lost instead of the planner getting
+  // stuck at t=0.
+  const SystemModel sys =
+      SystemModel::paper_system("p93791", itc02::ProcessorKind::kLeon, 2, PlannerParams::paper());
+  noc::FaultSet faults;
+  faults.fail_router(sys.endpoints()[0].router);
+  for (const StrategyKind kind : {StrategyKind::kRestart, StrategyKind::kAnneal}) {
+    SearchOptions options;
+    options.strategy = kind;
+    options.iters = 8;
+    const ReplanResult result = replan(sys, power::PowerBudget::unconstrained(), faults, options);
+    EXPECT_TRUE(result.planned_modules.empty());
+    EXPECT_TRUE(result.dead_modules.empty());
+    EXPECT_EQ(result.untestable_modules.size(), sys.soc().modules.size());
+    EXPECT_TRUE(result.schedule.sessions.empty());
+    EXPECT_EQ(result.schedule.makespan, 0u);
+    sim::validate_or_throw(sys, result.schedule, faults);
+  }
+}
+
 TEST(Replan, PowerInfeasibleDetourBecomesUntestableNotAThrow) {
   // Regression: a fault that forces a pricier detour used to trip the
   // planner's feasibility precheck inside every search evaluation when

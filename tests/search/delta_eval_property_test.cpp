@@ -1,16 +1,17 @@
 // The delta-evaluation kernel's mandatory property: every order priced
-// through DeltaPlanner — suffix replans from any incumbent, any
-// checkpoint spacing — is *bit-identical* to a from-scratch plan of the
-// same order by the reference planner in tests/oracle/: same makespan,
-// same sessions, same floating-point peak power.  Asserted over the
-// builtin paper systems and random SoCs across every planner parameter
-// variant, plus the search-level contract that --jobs {1, 2, 8} stay
-// bit-identical.
+// through DeltaPlanner — suffix replans from any incumbent, with the
+// shared prefix replayed from the initial state — is *bit-identical* to
+// a from-scratch plan of the same order by the reference planner in
+// tests/oracle/: same makespan, same sessions, same floating-point peak
+// power.  Asserted over the builtin paper systems and random SoCs across
+// every planner parameter variant, plus the search-level contract that
+// --jobs {1, 2, 8} stay bit-identical.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -96,9 +97,15 @@ void random_swap(const EvalContext& ctx, Rng& rng, std::vector<int>& order) {
 
 /// Drives `steps` random swaps (occasionally multi-swap or a full
 /// tier shuffle, the reset move) against one DeltaPlanner, asserting
-/// bit-identity with the oracle planner at every step.
+/// bit-identity with the oracle planner at every step.  When
+/// `longest_replay` is set it receives the most prefix commits any one
+/// step replayed onto the initial state.  When `from_scratch` is set,
+/// that second planner prices every candidate with plan_full (no prefix
+/// reused or replayed) and must agree with `dp` step for step.
 void run_sequence(const EvalContext& ctx, const power::PowerBudget& budget,
-                  core::DeltaPlanner& dp, Rng& rng, int steps) {
+                  core::DeltaPlanner& dp, Rng& rng, int steps,
+                  std::uint64_t* longest_replay = nullptr,
+                  core::DeltaPlanner* from_scratch = nullptr) {
   std::vector<int> incumbent = ctx.base_order();
   ASSERT_EQ(dp.plan_full(incumbent), oracle_plan(ctx, budget, incumbent).makespan);
   for (int step = 0; step < steps; ++step) {
@@ -109,7 +116,15 @@ void run_sequence(const EvalContext& ctx, const power::PowerBudget& budget,
       random_swap(ctx, rng, order);
       if (rng.chance(0.3)) random_swap(ctx, rng, order);  // compound move
     }
+    const std::uint64_t replayed_before = dp.stats().replayed_commits;
     const std::uint64_t delta_makespan = dp.evaluate(order);
+    if (longest_replay != nullptr) {
+      *longest_replay =
+          std::max(*longest_replay, dp.stats().replayed_commits - replayed_before);
+    }
+    if (from_scratch != nullptr) {
+      ASSERT_EQ(from_scratch->plan_full(order), delta_makespan) << "step " << step;
+    }
     const std::uint64_t full_makespan = oracle_plan(ctx, budget, order).makespan;
     ASSERT_EQ(delta_makespan, full_makespan) << "step " << step;
     if (rng.chance(0.4)) {
@@ -117,11 +132,15 @@ void run_sequence(const EvalContext& ctx, const power::PowerBudget& budget,
       dp.adopt();
       expect_schedules_identical(dp.materialize(), oracle_plan(ctx, budget, incumbent));
       ASSERT_EQ(dp.base_makespan(), full_makespan);
+      if (from_scratch != nullptr) {
+        expect_schedules_identical(from_scratch->materialize(), dp.materialize());
+      }
     }
   }
 }
 
 TEST(DeltaEvalProperty, BuiltinSystemsSwapSequencesBitIdentical) {
+  std::map<std::string, std::uint64_t> longest_replay;
   for (const char* soc : {"d695", "p22810", "p93791"}) {
     const core::SystemModel sys = paper(soc, soc == std::string("d695") ? 6 : 8);
     for (const bool constrained : {false, true}) {
@@ -130,27 +149,35 @@ TEST(DeltaEvalProperty, BuiltinSystemsSwapSequencesBitIdentical) {
           constrained ? power::PowerBudget::fraction_of_total(sys.soc(), 0.5)
                       : power::PowerBudget::unconstrained();
       const EvalContext ctx(sys, budget);
-      core::DeltaPlanner dp = ctx.make_delta_planner(16);
+      core::DeltaPlanner dp = ctx.make_delta_planner();
       Rng rng = stream_rng(0xDE17A, constrained ? 1 : 0);
-      run_sequence(ctx, budget, dp, rng, 50);
+      run_sequence(ctx, budget, dp, rng, 50, &longest_replay[soc]);
     }
   }
+  // Every replan rebuilds its divergence state by replaying the shared
+  // prefix from the initial state; on the larger SoCs some step must
+  // diverge deep enough to replay a long prefix.
+  EXPECT_GT(longest_replay["p22810"], 16u);
+  EXPECT_GT(longest_replay["p93791"], 16u);
 }
 
 TEST(DeltaEvalProperty, CheckpointSpacingsAllAgree) {
+  // The initial state is the only restore point left, so the spacings
+  // this walk once compared reduce to its two extremes: replaying the
+  // whole shared prefix (evaluate on a planner that follows the
+  // incumbent) and replaying nothing (plan_full of every candidate on a
+  // second planner).  Both price the same move sequence and must agree
+  // step for step, and with the reference planner.
   const core::SystemModel sys = paper("p22810", 4);
   const power::PowerBudget budget = power::PowerBudget::fraction_of_total(sys.soc(), 0.6);
   const EvalContext ctx(sys, budget);
-  const std::uint32_t n = static_cast<std::uint32_t>(ctx.base_order().size());
-  for (const std::uint32_t spacing : {1u, 4u, 16u, n}) {
-    SCOPED_TRACE(spacing);
-    core::DeltaPlanner dp = ctx.make_delta_planner(spacing);
-    // Same RNG seed for every spacing: identical move sequences, so
-    // the spacings must agree step for step (each is checked against
-    // the reference anyway).
-    Rng rng = stream_rng(0xC0FFEE, 7);
-    run_sequence(ctx, budget, dp, rng, 40);
-  }
+  core::DeltaPlanner dp = ctx.make_delta_planner();
+  core::DeltaPlanner from_scratch = ctx.make_delta_planner();
+  Rng rng = stream_rng(0xC0FFEE, 7);
+  std::uint64_t longest_replay = 0;
+  run_sequence(ctx, budget, dp, rng, 40, &longest_replay, &from_scratch);
+  EXPECT_GT(longest_replay, 0u);
+  EXPECT_EQ(from_scratch.stats().replayed_commits, 0u);
 }
 
 TEST(DeltaEvalProperty, RandomSystemsAllParamVariants) {
@@ -161,7 +188,7 @@ TEST(DeltaEvalProperty, RandomSystemsAllParamVariants) {
     power::PowerBudget budget = power::PowerBudget::unconstrained();
     if (rng.chance(0.5)) budget = power::PowerBudget::fraction_of_total(sys.soc(), 0.8);
     const EvalContext ctx(sys, budget);
-    core::DeltaPlanner dp = ctx.make_delta_planner(static_cast<std::uint32_t>(1 + seed % 5));
+    core::DeltaPlanner dp = ctx.make_delta_planner();
     run_sequence(ctx, budget, dp, rng, 30);
   }
 }
@@ -195,7 +222,7 @@ TEST(DeltaEvalProperty, SubsetOrdersWithPretestedProcessors) {
                 return a < b;
               });
 
-    core::DeltaPlanner dp(sys, budget, table, pretested, 4);
+    core::DeltaPlanner dp(sys, budget, table, pretested);
     ASSERT_EQ(dp.plan_full(order),
               oracle::reference_plan(sys, budget, order, table, pretested).makespan);
     for (int step = 0; step < 20; ++step) {
