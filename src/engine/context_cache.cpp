@@ -91,7 +91,11 @@ ContextCache::SlotHandle ContextCache::reserve(const SystemSpec& spec) {
 
 ContextCache::Handle ContextCache::context(const SlotHandle& slot) {
   ensure(slot != nullptr, "ContextCache::context: null slot");
-  std::call_once(slot->once, [&] { slot->context = std::make_shared<const PlanContext>(slot->spec); });
+  // A mutex, not std::call_once: under ThreadSanitizer's pthread_once a
+  // throwing call_once leaves the flag stuck, so retrying a failed build
+  // would hang.
+  const std::lock_guard<std::mutex> lock(slot->build_mutex);
+  if (!slot->context) slot->context = std::make_shared<const PlanContext>(slot->spec);
   return slot->context;
 }
 

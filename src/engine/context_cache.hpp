@@ -13,11 +13,12 @@
 // pristine-table constructor).
 //
 // Determinism: eviction is LRU over a monotonic reservation counter —
-// a pure function of the reserve() call sequence.  The engine's batch
-// driver reserves serially in request order and only materializes
-// (builds) in parallel, so the cache's contents after a batch depend
-// on nothing but the request sequence.  Handles are shared_ptrs: an
-// evicted context stays alive for requests still holding it.
+// a pure function of the reserve() call sequence.  The engine's drivers
+// (the serve loop, run_batch) reserve serially in request order and
+// only materialize (build) in parallel, so the cache's contents after
+// any prefix of the stream depend on nothing but the request sequence.
+// Handles are shared_ptrs: an evicted context stays alive for requests
+// still holding it.
 
 #include <cstdint>
 #include <map>
@@ -70,14 +71,14 @@ class ContextCache {
   using Handle = std::shared_ptr<const PlanContext>;
 
   /// One cache slot: reserved serially (deterministic recency and
-  /// eviction), built at most once (call_once), shared by every request
-  /// naming the same key.
+  /// eviction), built at most once, shared by every request naming the
+  /// same key.
   struct Slot {
     SystemSpec spec;
     std::string key;
     std::uint64_t seq = 0;  ///< last reservation, the LRU recency stamp
-    std::once_flag once;
-    Handle context;  ///< set exactly once, under `once`
+    std::mutex build_mutex;  ///< held while building; guards `context`
+    Handle context;          ///< set by the first build that succeeds
   };
   using SlotHandle = std::shared_ptr<Slot>;
 
@@ -93,13 +94,13 @@ class ContextCache {
   /// the least-recently reserved slot while over capacity.  Cheap (no
   /// building) and mutex-serialized; callers wanting deterministic
   /// eviction must serialize their reserve() order themselves (the
-  /// engine reserves a whole batch in request order before any build).
+  /// serve loop reserves each line as it reads it, in input order).
   [[nodiscard]] SlotHandle reserve(const SystemSpec& spec);
 
   /// The built context for a reserved slot, building it on first use.
   /// Thread-safe: concurrent callers of the same slot build once and
-  /// share the result.  A build failure propagates to every concurrent
-  /// caller and is retried on the next materialize (errors are
+  /// share the result.  A build failure propagates to its caller, and
+  /// the next caller, waiting or later, builds again (errors are
   /// deterministic, so retrying reproduces the same diagnostic).
   [[nodiscard]] Handle context(const SlotHandle& slot);
 

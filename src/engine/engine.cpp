@@ -142,7 +142,10 @@ PlanResult Engine::execute(const PlanRequest& request, const ContextCache::SlotH
 }
 
 PlanResult Engine::run(const PlanRequest& request) {
-  const ContextCache::SlotHandle slot = cache_.reserve(request.system);
+  return run(request, cache_.reserve(request.system));
+}
+
+PlanResult Engine::run(const PlanRequest& request, const ContextCache::SlotHandle& slot) {
   obs::MetricsRegistry& reg = obs::registry();
   if (!reg.enabled()) return execute(request, slot);
   const double start_ms = obs::now_ms();
@@ -161,22 +164,11 @@ std::vector<PlanResult> Engine::run_batch(const std::vector<PlanRequest>& reques
   slots.reserve(requests.size());
   for (const PlanRequest& request : requests) slots.push_back(cache_.reserve(request.system));
   // Phase 2, parallel: whole requests on the work queue.  Missing
-  // contexts are built once (call_once per slot) by whichever worker
+  // contexts are built once (per-slot lock) by whichever worker
   // arrives first; every result is a pure function of its request.
   std::vector<PlanResult> results(requests.size());
-  const bool collect = obs::registry().enabled();
-  parallel_for(requests.size(), options_.jobs, [&](std::size_t i) {
-    if (!collect) {
-      results[i] = execute(requests[i], slots[i]);
-      return;
-    }
-    const double start_ms = obs::now_ms();
-    results[i] = execute(requests[i], slots[i]);
-    obs::registry()
-        .histogram("wall.serve.request_us",
-                   {100, 300, 1000, 3000, 10000, 30000, 100000, 300000, 1000000})
-        .observe(static_cast<std::uint64_t>((obs::now_ms() - start_ms) * 1000.0));
-  });
+  parallel_for(requests.size(), options_.jobs,
+               [&](std::size_t i) { results[i] = run(requests[i], slots[i]); });
   return results;
 }
 

@@ -6,15 +6,17 @@
 // Determinism contract: a PlanResult is a pure function of its
 // PlanRequest.  Context artifacts are pure functions of the SystemSpec
 // (shared, immutable), per-request search runs single-threaded inside
-// the request (batch parallelism comes from running whole requests on
-// common/parallel workers), and nothing about cache hits, batch
-// composition, or worker count reaches the result bytes — asserted by
-// tests/engine/ and bench/serve_fleet.  Cache hit/miss activity is
-// visible only through the obs layer (serve.cache.* counters,
-// wall.serve.* timers), which is quarantined from byte-stable outputs.
+// the request (parallelism comes from running whole requests on
+// common/parallel workers), and nothing about cache hits, which
+// requests run together, or worker count reaches the result bytes —
+// asserted by tests/engine/ and bench/serve_fleet.  Cache hit/miss
+// activity is visible only through the obs layer (serve.cache.*
+// counters, wall.serve.* timers), which is quarantined from byte-stable
+// outputs.
 //
 // The CLI's one-shot modes are thin adapters over Engine::run; --serve
-// drives Engine::run_batch from a JSONL loop (engine/serve.hpp).
+// streams a JSONL loop over reserve + Engine::run(request, slot)
+// (engine/serve.hpp); bench/serve_fleet drives Engine::run_batch.
 
 #include <cstdint>
 #include <optional>
@@ -32,7 +34,7 @@ namespace nocsched::engine {
 
 struct EngineOptions {
   std::size_t cache_capacity = 32;  ///< PlanContexts kept (LRU beyond that)
-  unsigned jobs = 0;  ///< batch workers (0 = one per hardware thread)
+  unsigned jobs = 0;  ///< run_batch workers (0 = one per hardware thread)
 };
 
 struct PlanResult {
@@ -62,6 +64,12 @@ class Engine {
   /// diagnostic in `error` — never an exception, so one bad request in
   /// a stream cannot take the server down.
   [[nodiscard]] PlanResult run(const PlanRequest& request);
+
+  /// Execute a request on a slot already reserved for request.system
+  /// through cache().reserve().  Safe to call from any thread: a driver
+  /// that reserves serially in request order (deterministic eviction)
+  /// may execute on whichever worker is free — the serve loop does.
+  [[nodiscard]] PlanResult run(const PlanRequest& request, const ContextCache::SlotHandle& slot);
 
   /// Execute a batch: results[i] answers requests[i].  Cache slots are
   /// reserved serially in request order (deterministic eviction), then

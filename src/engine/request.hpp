@@ -3,7 +3,7 @@
 //
 // A PlanRequest is a pure value — everything the Engine needs to
 // produce a result is in it, so a result is a pure function of the
-// request (bit-identical regardless of batch order, cache state, or
+// request (bit-identical regardless of request order, cache state, or
 // worker count; asserted by tests/engine/).  The SystemSpec part names
 // the shared artifacts (parsed SoC, characterized wrappers, priced
 // PairTable) and is the ContextCache key; the rest (power budget,
@@ -33,8 +33,9 @@ namespace nocsched::engine {
 inline constexpr std::uint64_t kMaxMeshSide = 64;
 
 /// Largest accepted "iters" on the wire: one request's search work is
-/// bounded, so a hostile value cannot stall its batch and every request
-/// behind it.  The CLI's --iters is operator input and stays uncapped.
+/// bounded, so a hostile value cannot hold up for long every answer
+/// behind it (answers are written in input order).  The CLI's --iters
+/// is operator input and stays uncapped.
 inline constexpr std::uint64_t kMaxIters = 16384;
 
 /// Names one buildable system: the cacheable, request-independent part
@@ -79,8 +80,8 @@ struct PlanRequest {
   std::optional<std::uint64_t> iters;
   std::uint64_t seed = 0x5EED;
   /// Threads for the search inside this one request (0 = hardware
-  /// threads).  Defaults to 1: a batched server gets its parallelism
-  /// from running whole requests on the work queue, and search results
+  /// threads).  Defaults to 1: the server gets its parallelism from
+  /// running whole requests on its workers, and search results
   /// are bit-identical at any job count, so this only moves wall time.
   /// The CLI's one-shot adapter sets it from --jobs; not on the wire.
   unsigned search_jobs = 1;

@@ -82,7 +82,6 @@ obs::MetricsSnapshot publish(const RunTotals& t) {
     snap.counters["delta.noop_replans"] = t.delta.noop_replans;
     snap.counters["delta.adoptions"] = t.delta.adoptions;
     snap.counters["delta.reused_commits"] = t.delta.reused_commits;
-    snap.counters["delta.replayed_commits"] = t.delta.replayed_commits;
     snap.counters["delta.repriced_commits"] = t.delta.repriced_commits;
     snap.counters["delta.probes"] = t.delta.probes;
     snap.histograms["delta.suffix_commits"] = suffix_histogram(t.delta.suffix_lengths);
@@ -259,7 +258,6 @@ SearchResult search_orders(const EvalContext& ctx, const SearchOptions& options)
     totals.delta.noop_replans += out.delta.noop_replans;
     totals.delta.adoptions += out.delta.adoptions;
     totals.delta.reused_commits += out.delta.reused_commits;
-    totals.delta.replayed_commits += out.delta.replayed_commits;
     totals.delta.repriced_commits += out.delta.repriced_commits;
     totals.delta.probes += out.delta.probes;
     totals.delta.suffix_lengths.insert(totals.delta.suffix_lengths.end(),

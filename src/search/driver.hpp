@@ -54,11 +54,9 @@ struct SearchOptions {
 ///   ctrs   search.evaluations search.proposals search.accepted
 ///          search.resets search.improvements search.converged_chains
 ///   ctrs   delta.full_plans delta.replans delta.noop_replans
-///          delta.adoptions delta.reused_commits delta.replayed_commits
-///          delta.repriced_commits delta.probes   (chains with budget > 1)
+///          delta.adoptions delta.reused_commits delta.repriced_commits
+///          delta.probes   (chains with budget > 1)
 ///   hist   delta.suffix_commits — re-priced commits per replan
-/// (delta.replayed_commits counts the shared-prefix commits each replan
-/// replays onto the kernel's initial state before re-pricing.)
 struct SearchResult {
   core::Schedule best;
   std::uint64_t first_makespan = 0;

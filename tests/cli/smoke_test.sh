@@ -271,6 +271,32 @@ case "$rc:$serve_err" in
      fails=$((fails + 1)) ;;
 esac
 
+# Answers stream in input order whatever the worker count: a mixed
+# stream (a slow search first, then greedy, power-limited, faulted,
+# simulated, random-SoC and malformed lines) answers byte-identically
+# at --jobs 1 and --jobs 3.
+mixed=$(printf '%s\n' \
+  '{"id": "slow", "soc": "p93791", "search": "anneal", "iters": 256}' \
+  '{"id": "g", "soc": "d695", "procs": 4}' \
+  '{"id": "p", "soc": "d695", "procs": 4, "power": 50}' \
+  '{"id": "f", "soc": "d695", "procs": 4, "faults": {"procs": [11]}}' \
+  'not json' \
+  '{"id": "s", "soc": "d695", "simulate": true}' \
+  '{"id": "r", "soc": "rand:7", "procs": 2}' \
+  '{"id": "l", "soc": "p22810", "search": "local", "iters": 16}')
+serve_j1=$(printf '%s\n' "$mixed" | "$cli" --serve --jobs 1 2>/dev/null)
+rc1=$?
+serve_j3=$(printf '%s\n' "$mixed" | "$cli" --serve --jobs 3 2>/dev/null)
+rc3=$?
+if [ "$rc1:$rc3" = "0:0" ] && [ "$(printf '%s\n' "$serve_j1" | wc -l)" -eq 8 ] \
+   && [ "$serve_j1" = "$serve_j3" ]; then
+  echo "ok: --serve --jobs 1 and --jobs 3 answer a mixed stream byte-identically"
+else
+  echo "FAIL: --serve output differs across --jobs (rc=$rc1/$rc3):" >&2
+  printf '%s\n--- vs ---\n%s\n' "$serve_j1" "$serve_j3" >&2
+  fails=$((fails + 1))
+fi
+
 # "mesh" is range-checked before it narrows to int, and a builtin SoC
 # (whose mesh is fixed) rejects one instead of ignoring it: each line
 # gets an exact in-band diagnostic.
@@ -291,8 +317,8 @@ else
 fi
 
 # "iters" is capped on the wire: a hostile search budget gets an exact
-# in-band diagnostic instead of stalling its batch, and the request
-# behind it is still answered.
+# in-band diagnostic instead of holding up every answer behind it, and
+# the request behind it is still answered.
 iters_err=$(printf '%s\n' \
   '{"soc":"p93791","search":"anneal","iters":100000000000}' \
   '{"id":"after","soc":"d695","search":"anneal","iters":16}' \
@@ -365,10 +391,10 @@ for fmt in table csv json; do
 done
 
 # --serve excludes the one-shot request flags (requests carry them),
-# and the serve knobs require --serve.
+# the serve knobs require --serve, and the batch knob is gone.
 for bad in "--serve --soc d695" "--serve --power 50" "--serve --simulate" \
            "--serve --fail-procs 11" "--serve --format json" \
-           "--serve-batch 4" "--serve-cache 8"; do
+           "--serve-batch 4" "--serve --serve-batch 4" "--serve-cache 8"; do
   # shellcheck disable=SC2086  # intentional word splitting of $bad
   if "$cli" $bad >/dev/null 2>&1 </dev/null; then
     echo "FAIL: '$bad' exited 0" >&2
@@ -383,6 +409,26 @@ err=$("$cli" --serve --soc d695 2>&1 >/dev/null </dev/null)
 case $err in
   *'--serve'*'--soc'*) echo "ok: --serve exclusion diagnostic names the flag" ;;
   *) echo "FAIL: --serve exclusion diagnostic unclear: $err" >&2
+     fails=$((fails + 1)) ;;
+esac
+
+# Each serve worker is a thread for the whole loop, so an absurd --jobs
+# is rejected up front instead of spawned.
+err=$("$cli" --serve --jobs 100000 2>&1 >/dev/null </dev/null)
+rc=$?
+case "$rc:$err" in
+  1:*'jobs 100000 is out of range (at most 256 workers)'*)
+    echo "ok: --serve rejects more than 256 workers" ;;
+  *) echo "FAIL: --serve --jobs 100000 (rc=$rc): $err" >&2
+     fails=$((fails + 1)) ;;
+esac
+
+# Answers are not batched, so there is no batch size to set: the old
+# flag is an unknown option, named in the diagnostic.
+err=$("$cli" --serve --serve-batch 4 2>&1 >/dev/null </dev/null)
+case $err in
+  *'unknown option --serve-batch'*) echo "ok: --serve-batch is rejected as an unknown option" ;;
+  *) echo "FAIL: --serve-batch diagnostic unclear: $err" >&2
      fails=$((fails + 1)) ;;
 esac
 

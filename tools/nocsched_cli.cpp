@@ -22,9 +22,10 @@
 //   --restarts <n>      legacy alias for "--search restart --iters n"
 //   --seed <n>          RNG seed for the search (default 0x5EED), so
 //                       search runs are reproducible
-//   --jobs <n>          threads running search chains (default: one per
-//                       hardware thread); every strategy is bit-identical
-//                       at every job count
+//   --jobs <n>          threads running search chains, or with --serve
+//                       the request workers (default: one per hardware
+//                       thread; at most 256 with --serve); every
+//                       strategy is bit-identical at every job count
 //   --wrapper <n>       wrapper chains per core (default 4)
 //   --format <f>        table (default) | gantt | csv | json | all
 //   --mesh <CxR>        mesh dimensions for --soc-file and rand: systems
@@ -54,10 +55,12 @@
 //   --trace-out <file>  record phase spans and write a chrome://tracing
 //                       JSON document to <file>
 //   --serve             plan server: read JSONL requests from stdin and
-//                       emit one JSONL result per line (see the README's
-//                       "Plan server" section for the schema); cannot be
-//                       combined with the one-shot options above
-//   --serve-batch <n>   requests per engine batch in --serve (default 64)
+//                       emit one JSONL result per line, in input order,
+//                       each as soon as it and every earlier one are
+//                       done (see the README's "Plan server" section for
+//                       the schema); a line is read only when one of the
+//                       --jobs workers is free; cannot be combined with
+//                       the one-shot options above
 //   --serve-cache <n>   cached plan contexts in --serve (default 32)
 //
 // With any fault option the CLI plans the pristine system, replays that
@@ -66,7 +69,7 @@
 //
 // Every mode is a thin adapter over src/engine/: the one-shot paths
 // build a single PlanRequest and format the PlanResult, --serve runs
-// the batched JSONL loop, and all of them share the same ContextCache
+// the streaming JSONL loop, and all of them share the same ContextCache
 // and determinism contract.
 
 #include <cstdlib>
@@ -138,7 +141,6 @@ struct Options {
   std::string metrics;    // report format, empty = no metrics collection
   std::string trace_out;  // chrome://tracing output path, empty = no trace
   bool serve = false;                // JSONL plan-server loop on stdin/stdout
-  std::uint64_t serve_batch = 64;    // requests per engine batch
   std::uint64_t serve_cache = 32;    // cached plan contexts
 
   [[nodiscard]] bool stream_mode() const {
@@ -161,7 +163,7 @@ struct Options {
                "       [--fail-procs N,...] [--fault-sweep K] [--fault-seed S]\n"
                "       [--fault-stream K] [--fault-stream-file FILE]\n"
                "       [--metrics table|csv|json|prom] [--trace-out FILE]\n"
-               "       [--serve] [--serve-batch N] [--serve-cache N]\n"
+               "       [--serve] [--serve-cache N]\n"
                "  --search picks the order-search strategy and --iters its\n"
                "  order-evaluation budget (--restarts N is a legacy alias for\n"
                "  --search restart --iters N); --seed makes search runs\n"
@@ -176,9 +178,10 @@ struct Options {
                "  the timeline from a JSONL file instead), replanning incrementally\n"
                "  and warm-started at every event; --metrics prints a metrics report\n"
                "  to stderr and --trace-out writes a chrome://tracing phase trace;\n"
-               "  --serve reads JSONL plan requests from stdin and emits JSONL\n"
-               "  results (one long-lived process, shared plan-context cache) and\n"
-               "  cannot be combined with the one-shot options.\n";
+               "  --serve reads JSONL plan requests from stdin and streams JSONL\n"
+               "  results in input order (one long-lived process, shared plan-context\n"
+               "  cache, --jobs request workers) and cannot be combined with the\n"
+               "  one-shot options.\n";
   std::exit(2);
 }
 
@@ -190,7 +193,7 @@ Options parse_args(int argc, char** argv) {
       "iters", "restarts", "seed", "jobs", "wrapper", "format", "mesh",
       "fail-links", "fail-routers", "fail-procs", "fault-sweep", "fault-seed",
       "fault-stream", "fault-stream-file", "metrics", "trace-out",
-      "serve-batch", "serve-cache"};
+      "serve-cache"};
   static const std::set<std::string> flag_keys = {"simulate", "serve"};
 
   Options opt;
@@ -288,9 +291,6 @@ Options parse_args(int argc, char** argv) {
       opt.trace_out = value;
     } else if (key == "serve") {
       opt.serve = true;
-    } else if (key == "serve-batch") {
-      opt.serve_batch = parse_u64(value, "--serve-batch");
-      ensure(opt.serve_batch > 0, "--serve-batch expects at least 1 request per batch");
     } else if (key == "serve-cache") {
       opt.serve_cache = parse_u64(value, "--serve-cache");
       ensure(opt.serve_cache > 0, "--serve-cache expects at least 1 cached context");
@@ -344,15 +344,14 @@ Options parse_args(int argc, char** argv) {
     // The server reads every per-request knob from the JSONL stream; a
     // one-shot flag alongside --serve has no single meaning, so reject
     // anything that is not about the server process itself.
-    static const std::set<std::string> serve_keys = {"serve",   "serve-batch", "serve-cache",
-                                                     "jobs",    "metrics",     "trace-out"};
+    static const std::set<std::string> serve_keys = {"serve", "serve-cache", "jobs", "metrics",
+                                                     "trace-out"};
     for (const auto& [key, value] : kv) {
       ensure(serve_keys.count(key) != 0, "--serve reads plan requests from stdin and "
              "cannot be combined with --", key, " (put it in the request objects)");
     }
   } else {
-    ensure(kv.count("serve-batch") == 0 && kv.count("serve-cache") == 0,
-           "--serve-batch/--serve-cache only configure the --serve loop");
+    ensure(kv.count("serve-cache") == 0, "--serve-cache only configures the --serve loop");
     ensure(opt.mesh_cols == 0 || !opt.soc_file.empty() || starts_with(opt.soc, "rand:"),
            "--mesh applies only to --soc-file and rand: systems, not the builtin SoC '",
            opt.soc, "'");
@@ -582,7 +581,6 @@ int run_fault_stream(const Options& opt, const core::SystemModel& sys,
 int run(const Options& opt) {
   if (opt.serve) {
     engine::ServeOptions sopts;
-    sopts.batch = static_cast<std::size_t>(opt.serve_batch);
     sopts.cache_capacity = static_cast<std::size_t>(opt.serve_cache);
     sopts.jobs = opt.jobs;
     return engine::serve(std::cin, std::cout, sopts);
