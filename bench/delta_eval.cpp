@@ -3,19 +3,16 @@
 // plans every order from scratch with the reference planner
 // (tests/oracle/), the delta lane re-prices the same sequence through
 // one DeltaPlanner (suffix re-pricing over the incumbent's commit
-// trace, evaluate on every proposal, adopt on every accepted move).  The
-// machine-readable "DE" rows feed the delta_eval section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh) so the
-// kernel's speedup is tracked across revisions.
-//
-//   DE <soc> <procs> <strategy> <iters> <full_ms> <delta_ms>
-//      <full_orders_per_sec> <delta_orders_per_sec> <speedup>
-//      <suffix_p50> <best>
-//
-// (<suffix_p50> is the median re-priced suffix length in commits, as
-// the upper bound of the delta.suffix_commits histogram bucket holding
-// the median; ">N" when it lands in the overflow bucket.  <best> is the
-// best makespan of the walk, identical in both lanes — the bench
+// trace, evaluate on every proposal, adopt on every accepted move).  One
+// "delta_eval" JSON row per system (bench/json_row.hpp) tracks the
+// kernel's speedup across revisions:
+//   soc, procs, strategy, iters, full_ms, delta_ms,
+//   full_orders_per_sec, delta_orders_per_sec, speedup, suffix_p50,
+//   best_makespan
+// (suffix_p50 is the median re-priced suffix length in commits, as the
+// upper bound of the delta.suffix_commits histogram bucket holding the
+// median, or the median itself past the last bucket.  best_makespan is
+// the best makespan of the walk, identical in both lanes — the bench
 // asserts the two lanes' makespans equal at every step.)
 //
 // The bench exits non-zero unless the delta lane beats the full lane on
@@ -28,10 +25,12 @@
 #include <iomanip>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/delta_planner.hpp"
+#include "json_row.hpp"
 #include "oracle/reference_planner.hpp"
 #include "search/eval_context.hpp"
 #include "search/strategy.hpp"
@@ -112,15 +111,15 @@ LaneResult time_lane(Lane&& lane) {
 
 /// Median bucket of the re-priced suffix lengths under the
 /// delta.suffix_commits histogram's bucket bounds (search/driver.cpp),
-/// printed as the bucket's inclusive upper bound (">N" for overflow).
-std::string suffix_p50(std::vector<std::uint32_t> lengths) {
+/// as the bucket's inclusive upper bound (the median itself past the
+/// last bound).
+std::uint64_t suffix_p50(std::vector<std::uint32_t> lengths) {
   static const std::vector<std::uint64_t> kBounds = {1, 2, 4, 8, 16, 32, 64, 128, 256};
-  if (lengths.empty()) return "0";
+  if (lengths.empty()) return 0;
   const auto mid = lengths.begin() + static_cast<std::ptrdiff_t>((lengths.size() - 1) / 2);
   std::nth_element(lengths.begin(), mid, lengths.end());
   const auto b = std::lower_bound(kBounds.begin(), kBounds.end(), std::uint64_t{*mid});
-  if (b == kBounds.end()) return ">" + std::to_string(kBounds.back());
-  return std::to_string(*b);
+  return b == kBounds.end() ? *mid : *b;
 }
 
 }  // namespace
@@ -134,6 +133,7 @@ int main() {
     std::cout << "   soc procs strategy iters full_ms delta_ms full_o/s delta_o/s "
                  "speedup suffix_p50 best\n";
     bool ok = true;
+    std::ostringstream rows;
     for (const std::string& soc : itc02::builtin_names()) {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
@@ -177,11 +177,23 @@ int main() {
       const double speedup = delta_ops / full_ops;
       const std::uint64_t best =
           *std::min_element(full.makespans.begin(), full.makespans.end());
-      std::cout << "DE " << soc << " " << procs << " anneal " << kIters << " "
-                << std::fixed << std::setprecision(3) << full.ms << " " << delta.ms << " "
+      const std::uint64_t suffix = suffix_p50(delta.stats.suffix_lengths);
+      std::cout << "   " << soc << " " << procs << " anneal " << kIters << " " << std::fixed
+                << std::setprecision(3) << full.ms << " " << delta.ms << " "
                 << std::setprecision(1) << full_ops << " " << delta_ops << " "
-                << std::setprecision(2) << speedup << " "
-                << suffix_p50(delta.stats.suffix_lengths) << " " << best << "\n";
+                << std::setprecision(2) << speedup << " " << suffix << " " << best << "\n";
+      rows << bench::JsonRow("delta_eval")
+                  .add("soc", soc)
+                  .add("procs", procs)
+                  .add("strategy", "anneal")
+                  .add("iters", kIters)
+                  .add("full_ms", full.ms)
+                  .add("delta_ms", delta.ms)
+                  .add("full_orders_per_sec", full_ops)
+                  .add("delta_orders_per_sec", delta_ops)
+                  .add("speedup", speedup)
+                  .add("suffix_p50", suffix)
+                  .add("best_makespan", best);
 
       if (speedup <= 1.0) {
         std::cerr << "bench failed: delta lane no faster than full on " << soc << " ("
@@ -194,7 +206,7 @@ int main() {
         ok = false;
       }
     }
-    std::cout << "\n(DE rows are parsed into BENCH_headline.json's delta_eval section)\n";
+    std::cout << "\n" << rows.str();
     if (!ok) return 1;
   } catch (const std::exception& e) {
     std::cerr << "bench failed: " << e.what() << "\n";

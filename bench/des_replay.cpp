@@ -3,13 +3,18 @@
 // cycles, events, wall time and event throughput.  The simulator is a
 // validation tool — it must stay fast enough to cross-check every plan
 // a sweep produces (hundreds per experiment), so its own speed is a
-// tracked headline number (rows feed scripts/bench_headline_json.sh).
+// tracked headline number.  Below the table, one "des_replay" JSON row
+// per system and cpu (bench/json_row.hpp):
+//   soc, cpu, events, packets, sim_cycles, wall_ms (mean of 20
+//   replays), events_per_sec.
 
 #include <chrono>
 #include <iostream>
+#include <sstream>
 
 #include "core/scheduler.hpp"
 #include "des/replay.hpp"
+#include "json_row.hpp"
 #include "sim/cross_check.hpp"
 #include "sim/validate.hpp"
 
@@ -21,6 +26,7 @@ int main() {
     std::cout << "Flit-level replay throughput (4 processors, no power limit)\n\n";
     std::cout << "system    cpu     sessions  events    packets   sim-cycles  wall-ms  "
                  "events/s\n";
+    std::ostringstream rows;
     for (const std::string& soc : itc02::builtin_names()) {
       for (const auto kind : {itc02::ProcessorKind::kLeon, itc02::ProcessorKind::kPlasma}) {
         const core::SystemModel sys = core::SystemModel::paper_system(soc, kind, 4, params);
@@ -52,14 +58,22 @@ int main() {
         const double events_per_sec =
             ms > 0.0 ? static_cast<double>(trace.events_processed) / (ms / 1000.0) : 0.0;
         const std::string cpu{itc02::to_string(kind)};
-        std::cout << "DESR " << soc << std::string(soc.size() < 8 ? 8 - soc.size() : 1, ' ')
-                  << cpu << std::string(cpu.size() < 8 ? 8 - cpu.size() : 1, ' ')
+        std::cout << soc << std::string(soc.size() < 10 ? 10 - soc.size() : 1, ' ') << cpu
+                  << std::string(cpu.size() < 8 ? 8 - cpu.size() : 1, ' ')
                   << trace.sessions.size() << "        " << trace.events_processed << "     "
                   << trace.packets_delivered << "      " << trace.observed_makespan << "     "
                   << ms << "  " << static_cast<std::uint64_t>(events_per_sec) << "\n";
+        rows << bench::JsonRow("des_replay")
+                    .add("soc", soc)
+                    .add("cpu", cpu)
+                    .add("events", trace.events_processed)
+                    .add("packets", trace.packets_delivered)
+                    .add("sim_cycles", trace.observed_makespan)
+                    .add("wall_ms", ms)
+                    .add("events_per_sec", static_cast<std::uint64_t>(events_per_sec));
       }
     }
-    std::cout << "\n(DESR rows are machine-parsed by scripts/bench_headline_json.sh)\n";
+    std::cout << "\n" << rows.str();
   } catch (const std::exception& e) {
     std::cerr << "bench failed: " << e.what() << "\n";
     return 1;

@@ -8,12 +8,10 @@
 //               table and warm-start the search from the surviving
 //               order (what sim::replay_timeline actually does).
 //
-// The machine-readable "FST" rows feed the fault_stream section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh):
-//
-//   FST <soc> <procs> <events> <covered> <total> <coverage> <stretch>
-//       <cold_p50_ms> <cold_p99_ms> <incr_p50_ms> <incr_p99_ms> <speedup_p50>
-//
+// One "fault_stream" JSON row per system (bench/json_row.hpp):
+//   soc, procs, events, covered, total, coverage_retained,
+//   makespan_stretch, cold_p50_ms, cold_p99_ms, incr_p50_ms,
+//   incr_p99_ms, speedup_p50
 // (latency quantiles are over the per-event best-of-R repeats; coverage
 // and stretch come from a full deterministic timeline replay of the
 // same stream, audited by sim::validate_timeline and asserted
@@ -27,11 +25,13 @@
 #include <chrono>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/pair_table.hpp"
 #include "core/scheduler.hpp"
+#include "json_row.hpp"
 #include "report/timeline_report.hpp"
 #include "search/fault_stream.hpp"
 #include "search/replan.hpp"
@@ -70,6 +70,7 @@ int main() {
                  "incr_p50 incr_p99 speedup\n";
 
     bool incremental_won = true;
+    std::ostringstream rows;
     for (const std::string& soc : itc02::builtin_names()) {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
@@ -155,16 +156,31 @@ int main() {
 
       const std::size_t covered = timeline.covered_modules.size();
       const std::size_t total = covered + timeline.uncovered_modules.size();
-      std::cout << "FST " << soc << " " << procs << " " << kEvents << " " << covered << " "
+      const double cold_p50 = quantile(cold_ms, 0.5);
+      const double cold_p99 = quantile(cold_ms, 0.99);
+      const double incr_p50 = quantile(incr_ms, 0.5);
+      const double incr_p99 = quantile(incr_ms, 0.99);
+      std::cout << "    " << soc << " " << procs << " " << kEvents << " " << covered << " "
                 << total << " " << std::fixed << std::setprecision(3)
                 << timeline.coverage_retained() << " " << timeline.makespan_stretch() << " "
-                << quantile(cold_ms, 0.5) << " " << quantile(cold_ms, 0.99) << " "
-                << quantile(incr_ms, 0.5) << " " << quantile(incr_ms, 0.99) << " "
-                << std::setprecision(2) << quantile(cold_ms, 0.5) / quantile(incr_ms, 0.5)
-                << "\n";
+                << cold_p50 << " " << cold_p99 << " " << incr_p50 << " " << incr_p99 << " "
+                << std::setprecision(2) << cold_p50 / incr_p50 << "\n";
       std::cout.unsetf(std::ios::fixed);
+      rows << bench::JsonRow("fault_stream")
+                  .add("soc", soc)
+                  .add("procs", procs)
+                  .add("events", kEvents)
+                  .add("covered", covered)
+                  .add("total", total)
+                  .add("coverage_retained", timeline.coverage_retained())
+                  .add("makespan_stretch", timeline.makespan_stretch())
+                  .add("cold_p50_ms", cold_p50)
+                  .add("cold_p99_ms", cold_p99)
+                  .add("incr_p50_ms", incr_p50)
+                  .add("incr_p99_ms", incr_p99)
+                  .add("speedup_p50", cold_p50 / incr_p50);
     }
-    std::cout << "\n(FST rows are parsed into BENCH_headline.json's fault_stream section)\n";
+    std::cout << "\n" << rows.str();
     if (!incremental_won) {
       std::cerr << "bench failed: the incremental + warm-started replan did not beat the "
                    "cold replan on every event\n";

@@ -1,17 +1,14 @@
 // Fault-aware replanning throughput: how fast the controller recovers a
 // plan after a fault, comparing the incremental PairTable path (copy
 // the pristine table, re-enumerate only the fault-touched modules) with
-// a full from-scratch rebuild of the degraded table.  The
-// machine-readable "FS" rows feed the fault_sweep section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh).
-//
-//   FS <soc> <procs> <scenarios> <rebuilt_avg> <full_ms> <incr_ms> <table_speedup>
-//      <replan_full_per_sec> <replan_incr_per_sec>
-//
-// (<rebuilt_avg> is the mean number of pair lists the incremental path
+// a full from-scratch rebuild of the degraded table.  One "fault_sweep"
+// JSON row per system (bench/json_row.hpp):
+//   soc, procs, scenarios, rebuilt_avg, full_ms, incr_ms,
+//   table_speedup, replan_full_per_sec, replan_incr_per_sec
+// (rebuilt_avg is the mean number of pair lists the incremental path
 // re-enumerated per scenario — the work the fault actually required;
-// <full_ms>/<incr_ms> time the two table paths alone; the replan
-// columns time the whole greedy replan, table included, both ways.)
+// full_ms/incr_ms time the two table paths alone; the replan columns
+// time the whole greedy replan, table included, both ways.)
 //
 // The bench asserts the two table paths are bit-identical on every
 // scenario, and exits non-zero unless the incremental path is faster on
@@ -21,10 +18,12 @@
 #include <chrono>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/pair_table.hpp"
+#include "json_row.hpp"
 #include "noc/fault.hpp"
 #include "search/replan.hpp"
 #include "sim/validate.hpp"
@@ -53,6 +52,7 @@ int main() {
                  "replan_full/s replan_incr/s\n";
 
     bool incremental_won = true;
+    std::ostringstream rows;
     for (const std::string& soc : itc02::builtin_names()) {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
@@ -106,14 +106,26 @@ int main() {
 
       const double n = static_cast<double>(kScenarios);
       if (incr_ms >= full_ms || replan_incr_ms >= replan_full_ms) incremental_won = false;
-      std::cout << "FS " << soc << " " << procs << " " << kScenarios << " " << std::fixed
-                << std::setprecision(2) << static_cast<double>(rebuilt_total) / n << " "
-                << full_ms << " " << incr_ms << " " << full_ms / incr_ms << " "
-                << std::setprecision(0) << 1000.0 * n / replan_full_ms << " "
-                << 1000.0 * n / replan_incr_ms << "\n";
+      const double rebuilt_avg = static_cast<double>(rebuilt_total) / n;
+      const double replan_full_per_sec = 1000.0 * n / replan_full_ms;
+      const double replan_incr_per_sec = 1000.0 * n / replan_incr_ms;
+      std::cout << "   " << soc << " " << procs << " " << kScenarios << " " << std::fixed
+                << std::setprecision(2) << rebuilt_avg << " " << full_ms << " " << incr_ms
+                << " " << full_ms / incr_ms << " " << std::setprecision(0)
+                << replan_full_per_sec << " " << replan_incr_per_sec << "\n";
       std::cout.unsetf(std::ios::fixed);
+      rows << bench::JsonRow("fault_sweep")
+                  .add("soc", soc)
+                  .add("procs", procs)
+                  .add("scenarios", kScenarios)
+                  .add("rebuilt_avg", rebuilt_avg)
+                  .add("full_ms", full_ms)
+                  .add("incr_ms", incr_ms)
+                  .add("table_speedup", full_ms / incr_ms)
+                  .add("replan_full_per_sec", replan_full_per_sec)
+                  .add("replan_incr_per_sec", replan_incr_per_sec);
     }
-    std::cout << "\n(FS rows are parsed into BENCH_headline.json's fault_sweep section)\n";
+    std::cout << "\n" << rows.str();
     if (!incremental_won) {
       std::cerr << "bench failed: the incremental PairTable path did not beat the full "
                    "rebuild everywhere\n";

@@ -6,10 +6,15 @@
 //   C3 "despite of this, imposing power constraints the test reduction
 //       reaches up to 37%"
 // This bench prints paper-vs-measured for each claim (best reduction
-// over the processor-count grid, per power setting).
+// over the processor-count grid, per power setting), then one "claims"
+// JSON row per claim (bench/json_row.hpp):
+//   id, soc, power_limit ("none" | "50%"), paper_pct, measured_pct,
+//   at (the processor count of the best reduction, e.g. "4proc").
 
 #include <iostream>
+#include <sstream>
 
+#include "json_row.hpp"
 #include "report/experiments.hpp"
 
 namespace {
@@ -35,6 +40,7 @@ int main() {
     std::cout << "Headline claims (best test-time reduction across the reuse sweep, "
                  "Leon systems)\n\n";
     std::cout << "claim  system    power series      paper  measured\n";
+    std::ostringstream rows;
     for (const Claim& c : claims) {
       const report::ReuseSweep sweep =
           report::run_paper_panel(c.soc, itc02::ProcessorKind::kLeon, params);
@@ -51,15 +57,24 @@ int main() {
           best_procs = p.processors;
         }
       }
+      const int measured_pct = static_cast<int>(best * 100.0 + 0.5);
       std::cout << c.id << "     " << c.soc << (std::string(10 - std::string(c.soc).size(), ' '))
                 << (c.constrained ? "50% power limit " : "no power limit  ") << "  "
-                << c.paper_pct << "%    " << static_cast<int>(best * 100.0 + 0.5) << "% (at "
+                << c.paper_pct << "%    " << measured_pct << "% (at "
                 << report::proc_label(best_procs) << ")\n";
+      rows << bench::JsonRow("claims")
+                  .add("id", c.id)
+                  .add("soc", c.soc)
+                  .add("power_limit", c.constrained ? "50%" : "none")
+                  .add("paper_pct", c.paper_pct)
+                  .add("measured_pct", measured_pct)
+                  .add("at", report::proc_label(best_procs));
     }
     std::cout << "\nAbsolute numbers are not expected to match (reconstructed benchmark\n"
                  "data and pinned model constants — see DESIGN.md); the comparison\n"
                  "targets the paper's qualitative claims: double-digit reductions,\n"
-                 "larger systems gain more, power limits temper but do not erase gains.\n";
+                 "larger systems gain more, power limits temper but do not erase gains.\n\n"
+              << rows.str();
   } catch (const std::exception& e) {
     std::cerr << "bench failed: " << e.what() << "\n";
     return 1;

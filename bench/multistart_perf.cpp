@@ -1,35 +1,33 @@
 // Planner hot-path throughput: multistart orders planned per second,
-// single- and multi-threaded, on the three paper systems.  The
-// machine-readable "MSP" rows feed the planner_perf section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh) so the
-// planner's speed is tracked across revisions; the bench also asserts
-// that the parallel run reproduces the serial result bit-for-bit.
-//
-//   MSP <soc> <procs> <orders> <jobs> <wall_ms> <orders_per_sec> <best> <hw_threads> <strategy> <iters> <eval_mode>
-//
-// (<hw_threads> is the recording machine's hardware concurrency —
+// single- and multi-threaded, on the three paper systems, tracked
+// across revisions through BENCH_headline.json.  The bench also
+// asserts that the parallel run reproduces the serial result
+// bit-for-bit.  One "planner_perf" JSON row per system and job count
+// (bench/json_row.hpp):
+//   soc, procs, orders, jobs, wall_ms, orders_per_sec, best_makespan,
+//   hw_threads, strategy, iters
+// (hw_threads is the recording machine's hardware concurrency —
 // multi-job rows only show real scaling when jobs <= hw_threads.
-// <strategy>/<iters> name the search strategy and its iteration budget
-// so planner_perf trajectories stay comparable across revisions that
-// change the search engine; this bench times the `restart` strategy,
-// the planner's raw orders/sec floor.  <eval_mode> is full|delta:
-// whether orders were planned from scratch or re-priced as a suffix by
-// the delta-evaluation kernel — multistart plans every order in full,
-// so rows here say `full`; bench_delta_eval covers the delta lane.)
+// strategy/iters name the search strategy and its iteration budget so
+// trajectories stay comparable across revisions that change the search
+// engine; this bench times the `restart` strategy, every order planned
+// from scratch: the planner's raw orders/sec floor.)
 //
 // It also prices the observability layer on the biggest paper system:
 // the same multistart body A/B-timed with metrics collection off and
-// on (bench::with_metrics, min of interleaved reps).  The "MOH" row
-// feeds the metrics_overhead section of BENCH_headline.json, where
-// scripts/check_overhead.sh gates the <1% enabled-path claim.
-//
-//   MOH <soc> <procs> <orders> <disabled_ms> <enabled_ms> <overhead_pct>
+// on (bench::with_metrics, median of interleaved pairs), printed as one
+// "metrics_overhead" row:
+//   soc, procs, orders, disabled_ms, enabled_ms, overhead_pct
+// and gated here: the bench exits non-zero when overhead_pct exceeds
+// kMaxOverheadPct, the "metrics collection enabled costs <1%" claim.
 
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <sstream>
 
 #include "common/parallel.hpp"
+#include "json_row.hpp"
 #include "search/driver.hpp"
 #include "sim/validate.hpp"
 #include "with_metrics.hpp"
@@ -37,6 +35,9 @@
 namespace {
 
 using namespace nocsched;
+
+/// The metrics layer's enabled-path overhead bar, in percent.
+constexpr double kMaxOverheadPct = 1.0;
 
 /// The deterministic pass plus `restarts` seeded tier shuffles: the
 /// `restart` search strategy, every order planned from scratch.
@@ -75,6 +76,7 @@ int main() {
     std::cout << "Planner throughput: " << kRestarts
               << " multistart orders per system, jobs in {1, " << hw << "}\n\n";
     bool identical = true;
+    std::ostringstream rows;
     for (const std::string& soc : itc02::builtin_names()) {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
@@ -96,12 +98,24 @@ int main() {
       for (const auto& [jobs, ms, r] :
            {std::tuple<unsigned, double, const search::SearchResult&>{1, serial_ms, serial},
             {hw, parallel_ms, parallel}}) {
-        std::cout << "MSP " << soc << " " << procs << " " << orders(r) << " " << jobs << " "
-                  << ms << " " << 1000.0 * static_cast<double>(orders(r)) / ms << " "
-                  << r.best.makespan << " " << hardware_jobs() << " restart " << kRestarts
-                  << " full\n";
+        const double orders_per_sec = 1000.0 * static_cast<double>(orders(r)) / ms;
+        std::cout << soc << " " << procs << " procs, jobs " << jobs << ": " << orders(r)
+                  << " orders in " << ms << " ms = " << orders_per_sec
+                  << " orders/sec, best " << r.best.makespan << "\n";
+        rows << bench::JsonRow("planner_perf")
+                    .add("soc", soc)
+                    .add("procs", procs)
+                    .add("orders", orders(r))
+                    .add("jobs", jobs)
+                    .add("wall_ms", ms)
+                    .add("orders_per_sec", orders_per_sec)
+                    .add("best_makespan", r.best.makespan)
+                    .add("hw_threads", hardware_jobs())
+                    .add("strategy", "restart")
+                    .add("iters", kRestarts);
       }
     }
+    bool overhead_ok = true;
     {
       const core::SystemModel big =
           core::SystemModel::paper_system("p93791", itc02::ProcessorKind::kLeon, 8, params);
@@ -115,15 +129,26 @@ int main() {
       const bench::MetricsOverhead moh = bench::with_metrics(
           [&] { scratch = multistart(big, kOrders, 1); },
           101);
-      std::cout << "MOH p93791 8 " << orders(scratch) << " " << moh.disabled_ms << " "
-                << moh.enabled_ms << " " << moh.overhead_pct << "\n";
+      std::cout << "metrics overhead, p93791 8 procs, " << orders(scratch)
+                << " orders: off " << moh.disabled_ms << " ms, on " << moh.enabled_ms
+                << " ms, " << moh.overhead_pct << "% (max " << kMaxOverheadPct << "%)\n";
+      rows << bench::JsonRow("metrics_overhead")
+                  .add("soc", "p93791")
+                  .add("procs", 8)
+                  .add("orders", orders(scratch))
+                  .add("disabled_ms", moh.disabled_ms)
+                  .add("enabled_ms", moh.enabled_ms)
+                  .add("overhead_pct", moh.overhead_pct);
+      overhead_ok = moh.overhead_pct <= kMaxOverheadPct;
     }
 
-    std::cout << "\n(orders/sec = full planner runs per second; MSP rows are parsed\n"
-                 "into BENCH_headline.json's planner_perf section, MOH rows into\n"
-                 "metrics_overhead)\n";
+    std::cout << "\n(orders/sec = full planner runs per second)\n\n" << rows.str();
     if (!identical) {
       std::cerr << "bench failed: parallel multistart diverged from the serial result\n";
+      return 1;
+    }
+    if (!overhead_ok) {
+      std::cerr << "bench failed: metrics overhead above " << kMaxOverheadPct << "%\n";
       return 1;
     }
   } catch (const std::exception& e) {

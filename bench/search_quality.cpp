@@ -1,17 +1,17 @@
 // Search strategy quality at an equal order-evaluation budget: every
 // strategy gets the same number of planner runs on the same system,
 // power setting, and seed, so the only difference is how it spends
-// them.  The machine-readable "SQ" rows feed the search_quality section
-// of BENCH_headline.json (via scripts/bench_headline_json.sh),
-// recording whether adaptive search (anneal / local) actually buys
-// schedule quality over blind restarts.
-//
-//   SQ <soc> <procs> <power> <strategy> <iters> <evals> <greedy> <best> <improvement_pct>
-//
-// (<power> is "none" or the power-limit fraction; <evals> counts orders
-// actually planned including the deterministic pass — local descents
-// may converge below the budget.  <greedy> is the deterministic
-// priority-order makespan every strategy starts from.)
+// them.  One "search_quality" JSON row per system, power setting and
+// strategy (bench/json_row.hpp) records whether adaptive search
+// (anneal / local) actually buys schedule quality over blind restarts:
+//   soc, procs, power_limit, strategy, iters, evals, greedy_makespan,
+//   best_makespan, improvement_pct
+// (power_limit is "none" or the power-limit fraction; evals counts
+// orders actually planned including the deterministic pass — local
+// descents may converge below the budget.  greedy_makespan is the
+// deterministic priority-order makespan every strategy starts from.)
+// scripts/check_search_quality.sh compares best_makespan against the
+// committed BENCH_headline.json.
 //
 // The bench exits non-zero unless anneal or local strictly beats
 // restart somewhere: that is the whole point of adaptive search, and a
@@ -23,8 +23,10 @@
 #include <iomanip>
 #include <iostream>
 #include <optional>
+#include <sstream>
 
 #include "common/error.hpp"
+#include "json_row.hpp"
 #include "search/driver.hpp"
 #include "sim/validate.hpp"
 
@@ -38,6 +40,7 @@ int main() {
               << " order evaluations (Leon, seed 0x5EED)\n\n";
     std::cout << "   soc procs power strategy iters evals greedy best improvement_pct\n";
     bool adaptive_won = false;
+    std::ostringstream rows;
     for (const std::string& soc : itc02::builtin_names()) {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
@@ -67,17 +70,27 @@ int main() {
                              (static_cast<double>(result.first_makespan) -
                               static_cast<double>(result.best.makespan)) /
                              static_cast<double>(result.first_makespan);
-          std::cout << "SQ " << soc << " " << procs << " "
-                    << (fraction ? cat(*fraction) : std::string("none")) << " "
-                    << result.metrics.info_or("search.strategy") << " " << kIters << " "
-                    << result.metrics.counter_or("search.evaluations") << " "
-                    << result.first_makespan << " "
+          const std::string power = fraction ? cat(*fraction) : std::string("none");
+          const std::string strategy = result.metrics.info_or("search.strategy");
+          const std::uint64_t evals = result.metrics.counter_or("search.evaluations");
+          std::cout << "   " << soc << " " << procs << " " << power << " " << strategy << " "
+                    << kIters << " " << evals << " " << result.first_makespan << " "
                     << result.best.makespan << " " << std::fixed << std::setprecision(2)
                     << pct << "\n";
+          rows << bench::JsonRow("search_quality")
+                      .add("soc", soc)
+                      .add("procs", procs)
+                      .add("power_limit", power)
+                      .add("strategy", strategy)
+                      .add("iters", kIters)
+                      .add("evals", evals)
+                      .add("greedy_makespan", result.first_makespan)
+                      .add("best_makespan", result.best.makespan)
+                      .add("improvement_pct", pct);
         }
       }
     }
-    std::cout << "\n(SQ rows are parsed into BENCH_headline.json's search_quality section)\n";
+    std::cout << "\n" << rows.str();
     if (!adaptive_won) {
       std::cerr << "bench failed: neither anneal nor local beat restart anywhere\n";
       return 1;

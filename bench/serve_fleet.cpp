@@ -25,11 +25,10 @@
 //               there, which is why the speedup gate lives on the
 //               serial lanes).
 //
-// The machine-readable "SRV" row feeds the serve section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh):
-//
-//   SRV <requests> <distinct_specs> <jobs> <cold_ms> <warm_ms>
-//       <speedup> <batch_plans_per_sec> <warm_p50_us> <warm_p99_us>
+// Below the human report, one "serve" JSON row (bench/json_row.hpp):
+//   requests, distinct_specs, jobs (of the serial lanes), cold_ms,
+//   warm_ms, warm_speedup, batch_plans_per_sec, warm_p50_us,
+//   warm_p99_us
 //
 // The bench exits non-zero unless (a) the warm serial pass beats the
 // cold serial pass (speedup > 1 — the amortization the cache exists
@@ -51,6 +50,7 @@
 #include "common/strings.hpp"
 #include "engine/engine.hpp"
 #include "engine/serve.hpp"
+#include "json_row.hpp"
 
 namespace {
 
@@ -201,10 +201,16 @@ int main() {
               << " deterministic in-band errors (power-infeasible mixes)\n"
               << "JSONL loop: " << ok_lines << "/" << total_lines << " ok results\n\n";
 
-    std::cout << "SRV " << kRequests << " " << kSpecs << " 1 " << std::setprecision(1)
-              << cold_ms << " " << warm_ms << " " << std::setprecision(2) << speedup << " "
-              << std::setprecision(0) << plans_per_sec << " " << p50_us << " " << p99_us
-              << "\n";
+    std::cout << bench::JsonRow("serve")
+                     .add("requests", kRequests)
+                     .add("distinct_specs", kSpecs)
+                     .add("jobs", 1)
+                     .add("cold_ms", cold_ms)
+                     .add("warm_ms", warm_ms)
+                     .add("warm_speedup", speedup)
+                     .add("batch_plans_per_sec", plans_per_sec)
+                     .add("warm_p50_us", p50_us)
+                     .add("warm_p99_us", p99_us);
 
     if (speedup <= 1.0) {
       std::cerr << "serve_fleet: warm-cache pass did not beat the cold pass (speedup "

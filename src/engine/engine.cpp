@@ -8,6 +8,7 @@
 #include "common/strings.hpp"
 #include "core/scheduler.hpp"
 #include "des/replay.hpp"
+#include "engine/resolve.hpp"
 #include "noc/fault.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
@@ -18,11 +19,8 @@
 
 namespace nocsched::engine {
 
-namespace {
-
-/// Resolve a request's raw fault references against the built system.
-/// Range checks run on the parsed 64-bit values before any narrowing —
-/// a huge id must be rejected, never truncated into a plausible one.
+// Range checks run on the parsed 64-bit values before any narrowing —
+// a huge id must be rejected, never truncated into a plausible one.
 noc::FaultSet resolve_faults(const FaultSpec& spec, const core::SystemModel& sys) {
   auto check_router = [&](std::uint64_t r, std::string_view what) {
     ensure(r < static_cast<std::uint64_t>(sys.mesh().router_count()), what, ": no router ", r,
@@ -66,8 +64,6 @@ search::SearchOptions search_options(const PlanRequest& request) {
   opts.jobs = request.search_jobs;
   return opts;
 }
-
-}  // namespace
 
 Engine::Engine(const EngineOptions& options)
     : options_(options), cache_(options.cache_capacity) {}

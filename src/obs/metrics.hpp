@@ -17,7 +17,7 @@
 // Instrumentation is free when disabled: hot paths accumulate plain
 // local integers and flush once per run behind registry().enabled(),
 // so the disabled path costs one relaxed load per flush site
-// (bench/multistart_perf's MOH rows price the enabled path too).
+// (bench/multistart_perf's metrics_overhead row prices the enabled path too).
 // Metric objects are never destroyed once registered — reset() zeroes
 // values but keeps registrations — so cached Counter& references from
 // flush sites stay valid for the process lifetime.

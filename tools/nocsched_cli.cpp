@@ -89,6 +89,7 @@
 #include "core/system_model.hpp"
 #include "des/replay.hpp"
 #include "engine/engine.hpp"
+#include "engine/resolve.hpp"
 #include "engine/serve.hpp"
 #include "noc/fault.hpp"
 #include "obs/clock.hpp"
@@ -131,9 +132,7 @@ struct Options {
   int mesh_cols = 0;
   int mesh_rows = 0;
   bool simulate = false;
-  std::string fail_links;    // "A:B,C:D" router pairs, resolved once the mesh exists
-  std::string fail_routers;  // "N,M"
-  std::string fail_procs;    // "N,M" module ids
+  engine::FaultSpec faults;  // --fail-*, resolved once the mesh exists
   std::uint64_t fault_sweep = 0;
   std::uint64_t fault_stream = 0;        // K random timed events
   std::string fault_stream_file;         // JSONL timeline, one event per line
@@ -147,8 +146,7 @@ struct Options {
     return fault_stream > 0 || !fault_stream_file.empty();
   }
   [[nodiscard]] bool fault_mode() const {
-    return !fail_links.empty() || !fail_routers.empty() || !fail_procs.empty() ||
-           fault_sweep > 0 || stream_mode();
+    return !faults.empty() || fault_sweep > 0 || stream_mode();
   }
 };
 
@@ -215,6 +213,10 @@ Options parse_args(int argc, char** argv) {
     ensure(i + 1 < argc, "option --", key, " expects a value");
     kv[key] = argv[++i];
   }
+  // The --fail-* comma lists; an empty value lists nothing.
+  auto list = [](const std::string& value) {
+    return value.empty() ? std::vector<std::string_view>{} : split(value, ',');
+  };
   for (const auto& [key, value] : kv) {
     if (key == "soc") {
       opt.soc = value;
@@ -266,11 +268,15 @@ Options parse_args(int argc, char** argv) {
     } else if (key == "simulate") {
       opt.simulate = true;
     } else if (key == "fail-links") {
-      opt.fail_links = value;
+      for (const std::string_view link : list(value)) opt.faults.links.emplace_back(link);
     } else if (key == "fail-routers") {
-      opt.fail_routers = value;
+      for (const std::string_view r : list(value)) {
+        opt.faults.routers.push_back(parse_u64(r, "--fail-routers"));
+      }
     } else if (key == "fail-procs") {
-      opt.fail_procs = value;
+      for (const std::string_view p : list(value)) {
+        opt.faults.procs.push_back(parse_u64(p, "--fail-procs"));
+      }
     } else if (key == "fault-sweep") {
       opt.fault_sweep = parse_u64(value, "--fault-sweep");
       ensure(opt.fault_sweep > 0, "--fault-sweep expects at least 1 scenario");
@@ -325,14 +331,12 @@ Options parse_args(int argc, char** argv) {
   ensure(!(opt.fault_mode() && opt.simulate),
          "--simulate cannot be combined with fault injection (fault mode already "
          "replays the plan on the degraded mesh)");
-  ensure(!(opt.fault_sweep > 0 &&
-           (!opt.fail_links.empty() || !opt.fail_routers.empty() || !opt.fail_procs.empty())),
+  ensure(!(opt.fault_sweep > 0 && !opt.faults.empty()),
          "--fault-sweep generates its own scenarios and cannot be combined with --fail-*");
   ensure(!(opt.fault_stream > 0 && !opt.fault_stream_file.empty()),
          "--fault-stream generates a random timeline and --fault-stream-file loads an "
          "explicit one; give one or the other");
-  ensure(!(opt.stream_mode() &&
-           (!opt.fail_links.empty() || !opt.fail_routers.empty() || !opt.fail_procs.empty())),
+  ensure(!(opt.stream_mode() && !opt.faults.empty()),
          "a fault stream carries its own timed fault events and cannot be combined with "
          "--fail-*");
   ensure(!(opt.stream_mode() && opt.fault_sweep > 0),
@@ -357,47 +361,6 @@ Options parse_args(int argc, char** argv) {
            opt.soc, "'");
   }
   return opt;
-}
-
-/// Resolve the --fail-* flags against the built system.  Link specs are
-/// "from:to" router ids of adjacent routers; processor specs must name
-/// processor modules.
-noc::FaultSet build_fault_set(const Options& opt, const core::SystemModel& sys) {
-  // Range checks run on the parsed 64-bit value, before any narrowing —
-  // a huge id must be rejected, never truncated into a plausible one.
-  auto parse_router = [&](std::string_view spec, std::string_view what) {
-    const std::uint64_t r = parse_u64(spec, what);
-    ensure(r < static_cast<std::uint64_t>(sys.mesh().router_count()), what, ": no router ", r);
-    return static_cast<noc::RouterId>(r);
-  };
-  noc::FaultSet faults;
-  if (!opt.fail_links.empty()) {
-    for (const std::string_view spec : split(opt.fail_links, ',')) {
-      const auto ends = split(spec, ':');
-      ensure(ends.size() == 2, "--fail-links expects FROM:TO router pairs, got '", spec, "'");
-      const noc::RouterId from = parse_router(ends[0], "--fail-links");
-      const noc::RouterId to = parse_router(ends[1], "--fail-links");
-      ensure(sys.mesh().hop_count(from, to) == 1, "--fail-links: routers ", from, " and ", to,
-             " are not adjacent (channels join mesh neighbours only)");
-      faults.fail_channel(sys.mesh().channel_between(from, to));
-    }
-  }
-  if (!opt.fail_routers.empty()) {
-    for (const std::string_view spec : split(opt.fail_routers, ',')) {
-      faults.fail_router(parse_router(spec, "--fail-routers"));
-    }
-  }
-  if (!opt.fail_procs.empty()) {
-    for (const std::string_view spec : split(opt.fail_procs, ',')) {
-      const std::uint64_t raw = parse_u64(spec, "--fail-procs");
-      ensure(raw >= 1 && raw <= sys.soc().modules.size(), "--fail-procs: no module ", raw);
-      const int id = static_cast<int>(raw);
-      ensure(sys.soc().module(id).is_processor, "--fail-procs: module ", id, " ('",
-             sys.soc().module(id).name, "') is not a processor");
-      faults.fail_processor(id);
-    }
-  }
-  return faults;
 }
 
 /// The engine-facing name for the system this invocation plans.  System
@@ -446,7 +409,7 @@ engine::PlanRequest build_request(const Options& opt) {
 int run_fault_scenario(const Options& opt, const core::SystemModel& sys,
                        const power::PowerBudget& budget, const core::Schedule& schedule,
                        const search::SearchOptions& ropts, bool all) {
-  const noc::FaultSet faults = build_fault_set(opt, sys);
+  const noc::FaultSet faults = engine::resolve_faults(opt.faults, sys);
   const sim::RobustnessReport robustness = sim::assess_robustness(sys, schedule, faults);
   const search::ReplanResult replanned = search::replan(sys, budget, faults, ropts);
   sim::validate_or_throw(sys, replanned.schedule, faults);
@@ -589,7 +552,8 @@ int run(const Options& opt) {
   // One-shot modes: one PlanRequest through the engine (which owns the
   // parse/build/plan/validate pipeline), then CLI-side formatting.
   engine::Engine eng(engine::EngineOptions{/*cache_capacity=*/1, opt.jobs});
-  const engine::PlanResult res = eng.run(build_request(opt));
+  const engine::PlanRequest request = build_request(opt);
+  const engine::PlanResult res = eng.run(request);
   if (!res.ok) fail(res.error);
 
   const bool all = opt.format == "all";
@@ -610,13 +574,7 @@ int run(const Options& opt) {
     // The replan inherits the pristine run's search configuration, so
     // a searched plan is replanned with the same effort (a plain
     // greedy run replans greedily).
-    const bool searching =
-        opt.strategy.has_value() || opt.iters.has_value() || opt.restarts > 0;
-    search::SearchOptions ropts;
-    ropts.strategy = opt.strategy.value_or(search::StrategyKind::kRestart);
-    ropts.iters = searching ? opt.iters.value_or(opt.restarts > 0 ? opt.restarts : 256) : 0;
-    ropts.seed = opt.seed;
-    ropts.jobs = opt.jobs;
+    const search::SearchOptions ropts = engine::search_options(request);
     if (opt.stream_mode()) {
       return run_fault_stream(opt, sys, budget, schedule, ropts, all);
     }
