@@ -4,7 +4,7 @@
 // (tests/oracle/), the delta lane re-prices the same sequence through
 // one DeltaPlanner (suffix re-pricing over the incumbent's commit
 // trace, evaluate on every proposal, adopt on every accepted move).  One
-// "delta_eval" JSON row per system (bench/json_row.hpp) tracks the
+// "delta_eval" JSON row per system (report::JsonWriter) tracks the
 // kernel's speedup across revisions:
 //   soc, procs, strategy, iters, full_ms, delta_ms,
 //   full_orders_per_sec, delta_orders_per_sec, speedup, suffix_p50,
@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "core/delta_planner.hpp"
-#include "json_row.hpp"
 #include "oracle/reference_planner.hpp"
+#include "report/json_util.hpp"
 #include "search/eval_context.hpp"
 #include "search/strategy.hpp"
 #include "sim/validate.hpp"
@@ -182,7 +182,7 @@ int main() {
                 << std::setprecision(3) << full.ms << " " << delta.ms << " "
                 << std::setprecision(1) << full_ops << " " << delta_ops << " "
                 << std::setprecision(2) << speedup << " " << suffix << " " << best << "\n";
-      rows << bench::JsonRow("delta_eval")
+      rows << report::JsonWriter().add("section", "delta_eval")
                   .add("soc", soc)
                   .add("procs", procs)
                   .add("strategy", "anneal")
@@ -193,7 +193,7 @@ int main() {
                   .add("delta_orders_per_sec", delta_ops)
                   .add("speedup", speedup)
                   .add("suffix_p50", suffix)
-                  .add("best_makespan", best);
+                  .add("best_makespan", best).finish() << "\n";
 
       if (speedup <= 1.0) {
         std::cerr << "bench failed: delta lane no faster than full on " << soc << " ("

@@ -4,7 +4,7 @@
 // validation tool — it must stay fast enough to cross-check every plan
 // a sweep produces (hundreds per experiment), so its own speed is a
 // tracked headline number.  Below the table, one "des_replay" JSON row
-// per system and cpu (bench/json_row.hpp):
+// per system and cpu (report::JsonWriter):
 //   soc, cpu, events, packets, sim_cycles, wall_ms (mean of 20
 //   replays), events_per_sec.
 
@@ -14,7 +14,7 @@
 
 #include "core/scheduler.hpp"
 #include "des/replay.hpp"
-#include "json_row.hpp"
+#include "report/json_util.hpp"
 #include "sim/cross_check.hpp"
 #include "sim/validate.hpp"
 
@@ -63,14 +63,15 @@ int main() {
                   << trace.sessions.size() << "        " << trace.events_processed << "     "
                   << trace.packets_delivered << "      " << trace.observed_makespan << "     "
                   << ms << "  " << static_cast<std::uint64_t>(events_per_sec) << "\n";
-        rows << bench::JsonRow("des_replay")
+        rows << report::JsonWriter().add("section", "des_replay")
                     .add("soc", soc)
                     .add("cpu", cpu)
                     .add("events", trace.events_processed)
                     .add("packets", trace.packets_delivered)
                     .add("sim_cycles", trace.observed_makespan)
                     .add("wall_ms", ms)
-                    .add("events_per_sec", static_cast<std::uint64_t>(events_per_sec));
+                    .add("events_per_sec", static_cast<std::uint64_t>(events_per_sec))
+                    .finish() << "\n";
       }
     }
     std::cout << "\n" << rows.str();

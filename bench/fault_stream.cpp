@@ -8,7 +8,7 @@
 //               table and warm-start the search from the surviving
 //               order (what sim::replay_timeline actually does).
 //
-// One "fault_stream" JSON row per system (bench/json_row.hpp):
+// One "fault_stream" JSON row per system (report::JsonWriter):
 //   soc, procs, events, covered, total, coverage_retained,
 //   makespan_stretch, cold_p50_ms, cold_p99_ms, incr_p50_ms,
 //   incr_p99_ms, speedup_p50
@@ -31,7 +31,7 @@
 #include "common/error.hpp"
 #include "core/pair_table.hpp"
 #include "core/scheduler.hpp"
-#include "json_row.hpp"
+#include "report/json_util.hpp"
 #include "report/timeline_report.hpp"
 #include "search/fault_stream.hpp"
 #include "search/replan.hpp"
@@ -166,7 +166,7 @@ int main() {
                 << cold_p50 << " " << cold_p99 << " " << incr_p50 << " " << incr_p99 << " "
                 << std::setprecision(2) << cold_p50 / incr_p50 << "\n";
       std::cout.unsetf(std::ios::fixed);
-      rows << bench::JsonRow("fault_stream")
+      rows << report::JsonWriter().add("section", "fault_stream")
                   .add("soc", soc)
                   .add("procs", procs)
                   .add("events", kEvents)
@@ -178,7 +178,7 @@ int main() {
                   .add("cold_p99_ms", cold_p99)
                   .add("incr_p50_ms", incr_p50)
                   .add("incr_p99_ms", incr_p99)
-                  .add("speedup_p50", cold_p50 / incr_p50);
+                  .add("speedup_p50", cold_p50 / incr_p50).finish() << "\n";
     }
     std::cout << "\n" << rows.str();
     if (!incremental_won) {

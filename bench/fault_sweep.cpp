@@ -2,7 +2,7 @@
 // plan after a fault, comparing the incremental PairTable path (copy
 // the pristine table, re-enumerate only the fault-touched modules) with
 // a full from-scratch rebuild of the degraded table.  One "fault_sweep"
-// JSON row per system (bench/json_row.hpp):
+// JSON row per system (report::JsonWriter):
 //   soc, procs, scenarios, rebuilt_avg, full_ms, incr_ms,
 //   table_speedup, replan_full_per_sec, replan_incr_per_sec
 // (rebuilt_avg is the mean number of pair lists the incremental path
@@ -23,8 +23,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/pair_table.hpp"
-#include "json_row.hpp"
 #include "noc/fault.hpp"
+#include "report/json_util.hpp"
 #include "search/replan.hpp"
 #include "sim/validate.hpp"
 
@@ -114,7 +114,7 @@ int main() {
                 << " " << full_ms / incr_ms << " " << std::setprecision(0)
                 << replan_full_per_sec << " " << replan_incr_per_sec << "\n";
       std::cout.unsetf(std::ios::fixed);
-      rows << bench::JsonRow("fault_sweep")
+      rows << report::JsonWriter().add("section", "fault_sweep")
                   .add("soc", soc)
                   .add("procs", procs)
                   .add("scenarios", kScenarios)
@@ -123,7 +123,7 @@ int main() {
                   .add("incr_ms", incr_ms)
                   .add("table_speedup", full_ms / incr_ms)
                   .add("replan_full_per_sec", replan_full_per_sec)
-                  .add("replan_incr_per_sec", replan_incr_per_sec);
+                  .add("replan_incr_per_sec", replan_incr_per_sec).finish() << "\n";
     }
     std::cout << "\n" << rows.str();
     if (!incremental_won) {

@@ -7,15 +7,15 @@
 //       reaches up to 37%"
 // This bench prints paper-vs-measured for each claim (best reduction
 // over the processor-count grid, per power setting), then one "claims"
-// JSON row per claim (bench/json_row.hpp):
+// JSON row per claim (report::JsonWriter):
 //   id, soc, power_limit ("none" | "50%"), paper_pct, measured_pct,
 //   at (the processor count of the best reduction, e.g. "4proc").
 
 #include <iostream>
 #include <sstream>
 
-#include "json_row.hpp"
 #include "report/experiments.hpp"
+#include "report/json_util.hpp"
 
 namespace {
 
@@ -62,13 +62,13 @@ int main() {
                 << (c.constrained ? "50% power limit " : "no power limit  ") << "  "
                 << c.paper_pct << "%    " << measured_pct << "% (at "
                 << report::proc_label(best_procs) << ")\n";
-      rows << bench::JsonRow("claims")
+      rows << report::JsonWriter().add("section", "claims")
                   .add("id", c.id)
                   .add("soc", c.soc)
                   .add("power_limit", c.constrained ? "50%" : "none")
                   .add("paper_pct", c.paper_pct)
                   .add("measured_pct", measured_pct)
-                  .add("at", report::proc_label(best_procs));
+                  .add("at", report::proc_label(best_procs)).finish() << "\n";
     }
     std::cout << "\nAbsolute numbers are not expected to match (reconstructed benchmark\n"
                  "data and pinned model constants — see DESIGN.md); the comparison\n"

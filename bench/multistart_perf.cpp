@@ -3,7 +3,7 @@
 // across revisions through BENCH_headline.json.  The bench also
 // asserts that the parallel run reproduces the serial result
 // bit-for-bit.  One "planner_perf" JSON row per system and job count
-// (bench/json_row.hpp):
+// (report::JsonWriter):
 //   soc, procs, orders, jobs, wall_ms, orders_per_sec, best_makespan,
 //   hw_threads, strategy, iters
 // (hw_threads is the recording machine's hardware concurrency —
@@ -27,7 +27,7 @@
 #include <sstream>
 
 #include "common/parallel.hpp"
-#include "json_row.hpp"
+#include "report/json_util.hpp"
 #include "search/driver.hpp"
 #include "sim/validate.hpp"
 #include "with_metrics.hpp"
@@ -102,7 +102,7 @@ int main() {
         std::cout << soc << " " << procs << " procs, jobs " << jobs << ": " << orders(r)
                   << " orders in " << ms << " ms = " << orders_per_sec
                   << " orders/sec, best " << r.best.makespan << "\n";
-        rows << bench::JsonRow("planner_perf")
+        rows << report::JsonWriter().add("section", "planner_perf")
                     .add("soc", soc)
                     .add("procs", procs)
                     .add("orders", orders(r))
@@ -112,7 +112,7 @@ int main() {
                     .add("best_makespan", r.best.makespan)
                     .add("hw_threads", hardware_jobs())
                     .add("strategy", "restart")
-                    .add("iters", kRestarts);
+                    .add("iters", kRestarts).finish() << "\n";
       }
     }
     bool overhead_ok = true;
@@ -132,13 +132,13 @@ int main() {
       std::cout << "metrics overhead, p93791 8 procs, " << orders(scratch)
                 << " orders: off " << moh.disabled_ms << " ms, on " << moh.enabled_ms
                 << " ms, " << moh.overhead_pct << "% (max " << kMaxOverheadPct << "%)\n";
-      rows << bench::JsonRow("metrics_overhead")
+      rows << report::JsonWriter().add("section", "metrics_overhead")
                   .add("soc", "p93791")
                   .add("procs", 8)
                   .add("orders", orders(scratch))
                   .add("disabled_ms", moh.disabled_ms)
                   .add("enabled_ms", moh.enabled_ms)
-                  .add("overhead_pct", moh.overhead_pct);
+                  .add("overhead_pct", moh.overhead_pct).finish() << "\n";
       overhead_ok = moh.overhead_pct <= kMaxOverheadPct;
     }
 

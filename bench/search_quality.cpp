@@ -2,7 +2,7 @@
 // strategy gets the same number of planner runs on the same system,
 // power setting, and seed, so the only difference is how it spends
 // them.  One "search_quality" JSON row per system, power setting and
-// strategy (bench/json_row.hpp) records whether adaptive search
+// strategy (report::JsonWriter) records whether adaptive search
 // (anneal / local) actually buys schedule quality over blind restarts:
 //   soc, procs, power_limit, strategy, iters, evals, greedy_makespan,
 //   best_makespan, improvement_pct
@@ -26,7 +26,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "json_row.hpp"
+#include "report/json_util.hpp"
 #include "search/driver.hpp"
 #include "sim/validate.hpp"
 
@@ -77,7 +77,7 @@ int main() {
                     << kIters << " " << evals << " " << result.first_makespan << " "
                     << result.best.makespan << " " << std::fixed << std::setprecision(2)
                     << pct << "\n";
-          rows << bench::JsonRow("search_quality")
+          rows << report::JsonWriter().add("section", "search_quality")
                       .add("soc", soc)
                       .add("procs", procs)
                       .add("power_limit", power)
@@ -86,7 +86,7 @@ int main() {
                       .add("evals", evals)
                       .add("greedy_makespan", result.first_makespan)
                       .add("best_makespan", result.best.makespan)
-                      .add("improvement_pct", pct);
+                      .add("improvement_pct", pct).finish() << "\n";
         }
       }
     }

@@ -25,7 +25,7 @@
 //               there, which is why the speedup gate lives on the
 //               serial lanes).
 //
-// Below the human report, one "serve" JSON row (bench/json_row.hpp):
+// Below the human report, one "serve" JSON row (report::JsonWriter):
 //   requests, distinct_specs, jobs (of the serial lanes), cold_ms,
 //   warm_ms, warm_speedup, batch_plans_per_sec, warm_p50_us,
 //   warm_p99_us
@@ -50,7 +50,7 @@
 #include "common/strings.hpp"
 #include "engine/engine.hpp"
 #include "engine/serve.hpp"
-#include "json_row.hpp"
+#include "report/json_util.hpp"
 
 namespace {
 
@@ -159,10 +159,10 @@ int main() {
     // wire line per request, every result ok.
     std::ostringstream wire;
     for (const engine::PlanRequest& req : fleet) {
-      wire << "{\"id\": \"" << req.id << "\", \"soc\": \"" << req.system.soc
-           << "\", \"procs\": " << req.system.procs;
-      if (req.power_pct) wire << ", \"power\": 60";
-      wire << "}\n";
+      report::JsonWriter line;
+      line.add("id", req.id).add("soc", req.system.soc).add("procs", req.system.procs);
+      if (req.power_pct) line.add("power", *req.power_pct);
+      wire << line.finish() << "\n";
     }
     std::istringstream in(wire.str());
     std::ostringstream out;
@@ -201,7 +201,7 @@ int main() {
               << " deterministic in-band errors (power-infeasible mixes)\n"
               << "JSONL loop: " << ok_lines << "/" << total_lines << " ok results\n\n";
 
-    std::cout << bench::JsonRow("serve")
+    std::cout << report::JsonWriter().add("section", "serve")
                      .add("requests", kRequests)
                      .add("distinct_specs", kSpecs)
                      .add("jobs", 1)
@@ -210,7 +210,7 @@ int main() {
                      .add("warm_speedup", speedup)
                      .add("batch_plans_per_sec", plans_per_sec)
                      .add("warm_p50_us", p50_us)
-                     .add("warm_p99_us", p99_us);
+                     .add("warm_p99_us", p99_us).finish() << "\n";
 
     if (speedup <= 1.0) {
       std::cerr << "serve_fleet: warm-cache pass did not beat the cold pass (speedup "

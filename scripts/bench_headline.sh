@@ -1,6 +1,6 @@
 #!/bin/sh
 # Runs the gated benches of a build tree and assembles their JSON rows
-# (the lines starting {"section", see bench/json_row.hpp) into one
+# (the lines starting {"section", written by report::JsonWriter) into one
 # BENCH_headline.json document on stdout: one array per section, under
 # a header naming the revision and the machine.  Fails if a bench exits
 # non-zero (each bench owns its gates) or a section has no rows.

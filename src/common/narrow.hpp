@@ -30,4 +30,11 @@ template <typename To, typename From>
   return out;
 }
 
+/// An enum's value as its underlying integer type (C++23's
+/// std::to_underlying): never narrowing, so never checked.
+template <typename Enum>
+[[nodiscard]] constexpr std::underlying_type_t<Enum> to_underlying(Enum e) {
+  return static_cast<std::underlying_type_t<Enum>>(e);
+}
+
 }  // namespace nocsched

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/narrow.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "core/placement.hpp"
@@ -33,7 +34,7 @@ core::SystemModel build_system(const SystemSpec& spec) {
                                           // module per router where possible.
                                           int side = 1;
                                           while (side * side <
-                                                 static_cast<int>(soc.modules.size())) {
+                                                 checked_narrow<int>(soc.modules.size())) {
                                             ++side;
                                           }
                                           return noc::Mesh(side, side);

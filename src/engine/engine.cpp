@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/narrow.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "core/scheduler.hpp"
@@ -25,7 +26,7 @@ noc::FaultSet resolve_faults(const FaultSpec& spec, const core::SystemModel& sys
   auto check_router = [&](std::uint64_t r, std::string_view what) {
     ensure(r < static_cast<std::uint64_t>(sys.mesh().router_count()), what, ": no router ", r,
            " (mesh has ", sys.mesh().router_count(), " routers)");
-    return static_cast<noc::RouterId>(r);
+    return checked_narrow<noc::RouterId>(r);
   };
   noc::FaultSet faults;
   for (const std::string& link : spec.links) {
@@ -43,7 +44,7 @@ noc::FaultSet resolve_faults(const FaultSpec& spec, const core::SystemModel& sys
   }
   for (const std::uint64_t raw : spec.procs) {
     ensure(raw >= 1 && raw <= sys.soc().modules.size(), "faults.procs: no module ", raw);
-    const int id = static_cast<int>(raw);
+    const int id = checked_narrow<int>(raw);
     ensure(sys.soc().module(id).is_processor, "faults.procs: module ", id, " ('",
            sys.soc().module(id).name, "') is not a processor");
     faults.fail_processor(id);

@@ -20,41 +20,36 @@ namespace nocsched::engine {
 
 std::string result_json(const PlanResult& result) {
   if (!result.ok) return error_json(result.id, result.error);
-  std::string out = cat("{\"id\": ", report::json_string(result.id), ", \"ok\": true");
-  out += cat(", \"soc\": ", report::json_string(result.context->system().soc().name));
-  out += cat(", \"makespan\": ", result.schedule.makespan);
-  out += cat(", \"peak_power\": ", report::json_number(result.schedule.peak_power));
-  out += cat(", \"sessions\": ", result.schedule.sessions.size());
+  report::JsonWriter out;
+  out.add("id", result.id)
+      .add("ok", true)
+      .add("soc", result.context->system().soc().name)
+      .add("makespan", result.schedule.makespan)
+      .add("peak_power", result.schedule.peak_power)
+      .add("sessions", result.schedule.sessions.size());
   if (result.search_metrics) {
     const obs::MetricsSnapshot& m = *result.search_metrics;
-    out += cat(", \"search\": {\"strategy\": ", report::json_string(m.info_or("search.strategy")),
-               ", \"evaluations\": ", m.counter_or("search.evaluations"),
-               ", \"first_makespan\": ", m.gauge_or("search.first_makespan"),
-               ", \"best_makespan\": ", m.gauge_or("search.best_makespan"), "}");
+    out.object("search", [&](report::JsonWriter& search) {
+      search.add("strategy", m.info_or("search.strategy"))
+          .add("evaluations", m.counter_or("search.evaluations"))
+          .add("first_makespan", m.gauge_or("search.first_makespan"))
+          .add("best_makespan", m.gauge_or("search.best_makespan"));
+    });
   }
   if (result.faulted) {
-    auto id_list = [](const std::vector<int>& ids) {
-      std::string list = "[";
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        list += cat(ids[i], i + 1 < ids.size() ? ", " : "");
-      }
-      return list + "]";
-    };
-    out += cat(", \"dead\": ", id_list(result.dead_modules),
-               ", \"untestable\": ", id_list(result.untestable_modules),
-               ", \"pairs_rebuilt\": ", result.pairs_rebuilt);
+    out.add("dead", result.dead_modules)
+        .add("untestable", result.untestable_modules)
+        .add("pairs_rebuilt", result.pairs_rebuilt);
   }
   if (result.cross_check) {
-    out += cat(", \"observed_makespan\": ", result.cross_check->observed_makespan,
-               ", \"cross_check_ok\": ", result.cross_check->ok() ? "true" : "false");
+    out.add("observed_makespan", result.cross_check->observed_makespan)
+        .add("cross_check_ok", result.cross_check->ok());
   }
-  out += "}";
-  return out;
+  return out.finish();
 }
 
 std::string error_json(const std::string& id, const std::string& message) {
-  return cat("{\"id\": ", report::json_string(id), ", \"ok\": false, \"error\": ",
-             report::json_string(message), "}");
+  return report::JsonWriter().add("id", id).add("ok", false).add("error", message).finish();
 }
 
 int serve(std::istream& in, std::ostream& out, const ServeOptions& options) {

@@ -10,17 +10,6 @@
 
 namespace nocsched::report {
 
-namespace {
-
-template <typename T>
-void json_int_array(std::ostringstream& out, const std::vector<T>& v) {
-  out << "[";
-  for (std::size_t i = 0; i < v.size(); ++i) out << (i > 0 ? ", " : "") << v[i];
-  out << "]";
-}
-
-}  // namespace
-
 std::string robustness_table(const core::SystemModel& sys, const noc::FaultSet& faults,
                              const sim::RobustnessReport& robustness,
                              const search::ReplanResult* replan) {
@@ -87,55 +76,46 @@ std::string robustness_csv(const core::SystemModel& sys,
 std::string robustness_json(const core::SystemModel& sys, const noc::FaultSet& faults,
                             const sim::RobustnessReport& robustness,
                             const search::ReplanResult* replan) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"soc\": " << json_string(sys.soc().name) << ",\n";
-  out << "  \"faults\": {\"links\": ";
-  json_int_array(out, faults.failed_channels());
-  out << ", \"routers\": ";
-  json_int_array(out, faults.failed_routers());
-  out << ", \"processors\": ";
-  json_int_array(out, faults.failed_processors());
-  out << "},\n";
-
-  out << "  \"robustness\": {\n";
-  out << "    \"planned_makespan\": " << robustness.planned_makespan << ",\n";
-  out << "    \"baseline_makespan\": " << robustness.baseline_makespan << ",\n";
-  out << "    \"degraded_makespan\": " << robustness.degraded_makespan << ",\n";
-  out << "    \"makespan_stretch\": " << json_number(robustness.makespan_stretch) << ",\n";
-  out << "    \"unaffected\": " << robustness.unaffected << ",\n";
-  out << "    \"delayed\": " << robustness.delayed << ",\n";
-  out << "    \"sessions_lost\": " << robustness.lost << ",\n";
-  out << "    \"sessions\": [\n";
-  for (std::size_t i = 0; i < robustness.sessions.size(); ++i) {
-    const sim::SessionRobustness& s = robustness.sessions[i];
-    out << "      {\"module\": " << s.module_id << ", \"name\": "
-        << json_string(sys.soc().module(s.module_id).name) << ", \"fate\": \""
-        << to_string(s.fate) << "\", \"baseline_start\": " << s.baseline_start
-        << ", \"baseline_end\": " << s.baseline_end
-        << ", \"degraded_start\": " << s.degraded_start
-        << ", \"degraded_end\": " << s.degraded_end << ", \"delay\": " << s.delay
-        << ", \"reason\": " << json_string(s.reason) << "}"
-        << (i + 1 < robustness.sessions.size() ? "," : "") << "\n";
-  }
-  out << "    ]\n  }";
-
+  JsonWriter doc(JsonWriter::Layout::kDocument);
+  doc.add("soc", sys.soc().name);
+  doc.object("faults", [&](JsonWriter& f) {
+    f.add("links", faults.failed_channels())
+        .add("routers", faults.failed_routers())
+        .add("processors", faults.failed_processors());
+  });
+  doc.block("robustness", [&](JsonWriter& r) {
+    r.add("planned_makespan", robustness.planned_makespan)
+        .add("baseline_makespan", robustness.baseline_makespan)
+        .add("degraded_makespan", robustness.degraded_makespan)
+        .add("makespan_stretch", robustness.makespan_stretch)
+        .add("unaffected", robustness.unaffected)
+        .add("delayed", robustness.delayed)
+        .add("sessions_lost", robustness.lost);
+    r.rows("sessions", robustness.sessions,
+           [&](JsonWriter& row, const sim::SessionRobustness& s) {
+             row.add("module", s.module_id)
+                 .add("name", sys.soc().module(s.module_id).name)
+                 .add("fate", to_string(s.fate))
+                 .add("baseline_start", s.baseline_start)
+                 .add("baseline_end", s.baseline_end)
+                 .add("degraded_start", s.degraded_start)
+                 .add("degraded_end", s.degraded_end)
+                 .add("delay", s.delay)
+                 .add("reason", s.reason);
+           });
+  });
   if (replan != nullptr) {
-    out << ",\n  \"replan\": {\n";
-    out << "    \"makespan\": " << replan->schedule.makespan << ",\n";
-    out << "    \"planned_modules\": " << replan->planned_modules.size() << ",\n";
-    out << "    \"dead_modules\": ";
-    json_int_array(out, replan->dead_modules);
-    out << ",\n    \"untestable_modules\": ";
-    json_int_array(out, replan->untestable_modules);
-    out << ",\n    \"pairs_rebuilt\": " << replan->pairs_rebuilt << ",\n";
-    out << "    \"strategy\": " << json_string(replan->metrics.info_or("search.strategy"))
-        << ",\n";
-    out << "    \"evaluations\": " << replan->metrics.counter_or("search.evaluations") << "\n";
-    out << "  }";
+    doc.block("replan", [&](JsonWriter& r) {
+      r.add("makespan", replan->schedule.makespan)
+          .add("planned_modules", replan->planned_modules.size())
+          .add("dead_modules", replan->dead_modules)
+          .add("untestable_modules", replan->untestable_modules)
+          .add("pairs_rebuilt", replan->pairs_rebuilt)
+          .add("strategy", replan->metrics.info_or("search.strategy"))
+          .add("evaluations", replan->metrics.counter_or("search.evaluations"));
+    });
   }
-  out << "\n}\n";
-  return out.str();
+  return doc.finish();
 }
 
 }  // namespace nocsched::report

@@ -92,47 +92,30 @@ std::string metrics_csv(const obs::MetricsSnapshot& snap) {
 }
 
 std::string metrics_json(const obs::MetricsSnapshot& snap) {
-  std::ostringstream out;
-  out << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    out << (first ? "" : ", ") << json_string(name) << ": " << value;
-    first = false;
-  }
-  out << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    out << (first ? "" : ", ") << json_string(name) << ": " << value;
-    first = false;
-  }
-  out << "},\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    out << (first ? "" : ", ") << json_string(name) << ": {\"bounds\": [";
-    for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-      out << (b == 0 ? "" : ", ") << h.bounds[b];
+  JsonWriter doc(JsonWriter::Layout::kDocument);
+  doc.object("counters", [&](JsonWriter& o) {
+    for (const auto& [name, value] : snap.counters) o.add(name, value);
+  });
+  doc.object("gauges", [&](JsonWriter& o) {
+    for (const auto& [name, value] : snap.gauges) o.add(name, value);
+  });
+  doc.object("histograms", [&](JsonWriter& o) {
+    for (const auto& [name, h] : snap.histograms) {
+      o.object(name, [&](JsonWriter& hist) {
+        hist.add("bounds", h.bounds)
+            .add("counts", h.counts)
+            .add("count", h.count)
+            .add("sum", h.sum);
+      });
     }
-    out << "], \"counts\": [";
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      out << (b == 0 ? "" : ", ") << h.counts[b];
-    }
-    out << "], \"count\": " << h.count << ", \"sum\": " << h.sum << "}";
-    first = false;
-  }
-  out << "},\n  \"info\": {";
-  first = true;
-  for (const auto& [name, value] : snap.info) {
-    out << (first ? "" : ", ") << json_string(name) << ": " << json_string(value);
-    first = false;
-  }
-  out << "},\n  \"wall\": {";
-  first = true;
-  for (const auto& [name, ms] : snap.wall) {
-    out << (first ? "" : ", ") << json_string(name) << ": " << wall_value(ms);
-    first = false;
-  }
-  out << "}\n}\n";
-  return out.str();
+  });
+  doc.object("info", [&](JsonWriter& o) {
+    for (const auto& [name, value] : snap.info) o.add(name, value);
+  });
+  doc.object("wall", [&](JsonWriter& o) {
+    for (const auto& [name, ms] : snap.wall) o.add_raw(name, wall_value(ms));
+  });
+  return doc.finish();
 }
 
 std::string metrics_prometheus(const obs::MetricsSnapshot& snap) {

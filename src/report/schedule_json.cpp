@@ -1,8 +1,5 @@
 #include "report/schedule_json.hpp"
 
-#include <cmath>
-#include <sstream>
-
 #include "obs/metrics.hpp"
 #include "report/json_util.hpp"
 
@@ -26,58 +23,45 @@ const char* kind_name(core::EndpointKind kind) {
 
 std::string schedule_json(const core::SystemModel& sys, const core::Schedule& schedule,
                           const obs::MetricsSnapshot* search) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"soc\": " << json_string(sys.soc().name) << ",\n";
-  out << "  \"makespan\": " << schedule.makespan << ",\n";
-  out << "  \"peak_power\": " << json_number(schedule.peak_power) << ",\n";
-  out << "  \"power_limit\": ";
-  if (std::isfinite(schedule.power_limit)) {
-    out << json_number(schedule.power_limit);
-  } else {
-    out << "null";
-  }
-  out << ",\n";
-
+  JsonWriter doc(JsonWriter::Layout::kDocument);
+  doc.add("soc", sys.soc().name)
+      .add("makespan", schedule.makespan)
+      .add("peak_power", schedule.peak_power)
+      .add("power_limit", finite_or_null(schedule.power_limit));
   if (search != nullptr) {
-    // Keys and ordering are unchanged from the pre-registry schema; the
-    // values now come from the search.* metrics of the run.
-    out << "  \"search\": {\"strategy\": " << json_string(search->info_or("search.strategy"))
-        << ", \"iterations\": " << search->gauge_or("search.iterations")
-        << ", \"evaluations\": " << search->counter_or("search.evaluations")
-        << ", \"proposals\": " << search->counter_or("search.proposals")
-        << ", \"accepted\": " << search->counter_or("search.accepted")
-        << ", \"resets\": " << search->counter_or("search.resets")
-        << ", \"chains\": " << search->gauge_or("search.chains")
-        << ", \"improvements\": " << search->counter_or("search.improvements")
-        << ", \"converged_chains\": " << search->counter_or("search.converged_chains")
-        << ", \"first_makespan\": " << search->gauge_or("search.first_makespan")
-        << ", \"best_makespan\": " << search->gauge_or("search.best_makespan") << "},\n";
+    doc.object("search", [&](JsonWriter& s) {
+      s.add("strategy", search->info_or("search.strategy"))
+          .add("iterations", search->gauge_or("search.iterations"))
+          .add("evaluations", search->counter_or("search.evaluations"))
+          .add("proposals", search->counter_or("search.proposals"))
+          .add("accepted", search->counter_or("search.accepted"))
+          .add("resets", search->counter_or("search.resets"))
+          .add("chains", search->gauge_or("search.chains"))
+          .add("improvements", search->counter_or("search.improvements"))
+          .add("converged_chains", search->counter_or("search.converged_chains"))
+          .add("first_makespan", search->gauge_or("search.first_makespan"))
+          .add("best_makespan", search->gauge_or("search.best_makespan"));
+    });
   }
-
-  out << "  \"resources\": [\n";
-  const auto& eps = sys.endpoints();
-  for (std::size_t i = 0; i < eps.size(); ++i) {
-    out << "    {\"index\": " << i << ", \"name\": " << json_string(eps[i].name())
-        << ", \"kind\": \"" << kind_name(eps[i].kind) << "\", \"router\": " << eps[i].router
-        << "}" << (i + 1 < eps.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-
-  out << "  \"sessions\": [\n";
-  for (std::size_t i = 0; i < schedule.sessions.size(); ++i) {
-    const core::Session& s = schedule.sessions[i];
-    out << "    {\"module\": " << s.module_id << ", \"name\": "
-        << json_string(sys.soc().module(s.module_id).name)
-        << ", \"source\": " << s.source_resource << ", \"sink\": " << s.sink_resource
-        << ", \"start\": " << s.start << ", \"end\": " << s.end
-        << ", \"power\": " << json_number(s.power)
-        << ", \"hops_in\": " << s.path_in.size()
-        << ", \"hops_out\": " << s.path_out.size() << "}"
-        << (i + 1 < schedule.sessions.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
+  std::size_t index = 0;
+  doc.rows("resources", sys.endpoints(), [&](JsonWriter& row, const core::Endpoint& ep) {
+    row.add("index", index++)
+        .add("name", ep.name())
+        .add("kind", kind_name(ep.kind))
+        .add("router", ep.router);
+  });
+  doc.rows("sessions", schedule.sessions, [&](JsonWriter& row, const core::Session& s) {
+    row.add("module", s.module_id)
+        .add("name", sys.soc().module(s.module_id).name)
+        .add("source", s.source_resource)
+        .add("sink", s.sink_resource)
+        .add("start", s.start)
+        .add("end", s.end)
+        .add("power", s.power)
+        .add("hops_in", s.path_in.size())
+        .add("hops_out", s.path_out.size());
+  });
+  return doc.finish();
 }
 
 }  // namespace nocsched::report

@@ -12,13 +12,6 @@ namespace nocsched::report {
 
 namespace {
 
-template <typename T>
-void json_int_array(std::ostringstream& out, const std::vector<T>& v) {
-  out << "[";
-  for (std::size_t i = 0; i < v.size(); ++i) out << (i > 0 ? ", " : "") << v[i];
-  out << "]";
-}
-
 /// The increment that opened epoch `e` (epoch 0 opens fault-free).
 const noc::FaultSet* increment_of(const search::FaultStream& stream, std::size_t e) {
   if (e == 0 || e > stream.events.size()) return nullptr;
@@ -113,71 +106,50 @@ std::string timeline_csv(const core::SystemModel& sys, const search::FaultStream
 
 std::string timeline_json(const core::SystemModel& sys, const search::FaultStream& stream,
                           const sim::TimelineResult& result) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"soc\": " << json_string(sys.soc().name) << ",\n";
-  out << "  \"events\": [\n";
-  for (std::size_t i = 0; i < stream.events.size(); ++i) {
-    const search::FaultEvent& e = stream.events[i];
-    out << "    {\"cycle\": " << e.cycle << ", \"links\": ";
-    json_int_array(out, e.increment.failed_channels());
-    out << ", \"routers\": ";
-    json_int_array(out, e.increment.failed_routers());
-    out << ", \"processors\": ";
-    json_int_array(out, e.increment.failed_processors());
-    out << "}" << (i + 1 < stream.events.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-
-  out << "  \"epochs\": [\n";
-  for (std::size_t i = 0; i < result.epochs.size(); ++i) {
-    const sim::EpochRecord& epoch = result.epochs[i];
-    out << "    {\"epoch\": " << epoch.index << ", \"start_cycle\": " << epoch.start_cycle
-        << ", \"planned\": " << epoch.replan.planned_modules.size()
-        << ", \"completed\": " << epoch.completed << ", \"drained\": " << epoch.drained
-        << ", \"lost\": " << epoch.lost << ", \"cancelled\": " << epoch.cancelled
-        << ", \"pairs_rebuilt\": " << epoch.pairs_rebuilt
-        << ", \"plan_makespan\": " << epoch.replan.schedule.makespan
-        << ", \"observed_makespan\": " << epoch.trace.observed_makespan
-        << ", \"pretested\": ";
-    json_int_array(out, epoch.pretested);
-    out << ", \"search_evaluations\": "
-        << epoch.replan.metrics.counter_or("search.evaluations") << "}"
-        << (i + 1 < result.epochs.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-
-  out << "  \"completed\": [\n";
-  for (std::size_t i = 0; i < result.completed.size(); ++i) {
-    const sim::TimelineSession& s = result.completed[i];
-    out << "    {\"module\": " << s.module_id << ", \"name\": "
-        << json_string(sys.soc().module(s.module_id).name) << ", \"epoch\": " << s.epoch
-        << ", \"start\": " << s.abs_start << ", \"end\": " << s.abs_end << "}"
-        << (i + 1 < result.completed.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-
-  out << "  \"lost\": [\n";
-  for (std::size_t i = 0; i < result.lost.size(); ++i) {
-    const sim::LostWork& l = result.lost[i];
-    out << "    {\"module\": " << l.module_id << ", \"epoch\": " << l.epoch
-        << ", \"at_cycle\": " << l.at_cycle << ", \"wasted_cycles\": " << l.wasted_cycles
-        << ", \"reason\": " << json_string(l.reason) << "}"
-        << (i + 1 < result.lost.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-
-  out << "  \"covered_modules\": ";
-  json_int_array(out, result.covered_modules);
-  out << ",\n  \"uncovered_modules\": ";
-  json_int_array(out, result.uncovered_modules);
-  out << ",\n  \"coverage_retained\": " << json_number(result.coverage_retained()) << ",\n";
-  out << "  \"pristine_makespan\": " << result.pristine_makespan << ",\n";
-  out << "  \"final_makespan\": " << result.final_makespan << ",\n";
-  out << "  \"makespan_stretch\": " << json_number(result.makespan_stretch()) << ",\n";
-  out << "  \"wasted_cycles\": " << result.wasted_cycles << "\n";
-  out << "}\n";
-  return out.str();
+  JsonWriter doc(JsonWriter::Layout::kDocument);
+  doc.add("soc", sys.soc().name);
+  doc.rows("events", stream.events, [](JsonWriter& row, const search::FaultEvent& e) {
+    row.add("cycle", e.cycle)
+        .add("links", e.increment.failed_channels())
+        .add("routers", e.increment.failed_routers())
+        .add("processors", e.increment.failed_processors());
+  });
+  doc.rows("epochs", result.epochs, [](JsonWriter& row, const sim::EpochRecord& epoch) {
+    row.add("epoch", epoch.index)
+        .add("start_cycle", epoch.start_cycle)
+        .add("planned", epoch.replan.planned_modules.size())
+        .add("completed", epoch.completed)
+        .add("drained", epoch.drained)
+        .add("lost", epoch.lost)
+        .add("cancelled", epoch.cancelled)
+        .add("pairs_rebuilt", epoch.pairs_rebuilt)
+        .add("plan_makespan", epoch.replan.schedule.makespan)
+        .add("observed_makespan", epoch.trace.observed_makespan)
+        .add("pretested", epoch.pretested)
+        .add("search_evaluations", epoch.replan.metrics.counter_or("search.evaluations"));
+  });
+  doc.rows("completed", result.completed, [&](JsonWriter& row, const sim::TimelineSession& s) {
+    row.add("module", s.module_id)
+        .add("name", sys.soc().module(s.module_id).name)
+        .add("epoch", s.epoch)
+        .add("start", s.abs_start)
+        .add("end", s.abs_end);
+  });
+  doc.rows("lost", result.lost, [](JsonWriter& row, const sim::LostWork& l) {
+    row.add("module", l.module_id)
+        .add("epoch", l.epoch)
+        .add("at_cycle", l.at_cycle)
+        .add("wasted_cycles", l.wasted_cycles)
+        .add("reason", l.reason);
+  });
+  doc.add("covered_modules", result.covered_modules)
+      .add("uncovered_modules", result.uncovered_modules)
+      .add("coverage_retained", result.coverage_retained())
+      .add("pristine_makespan", result.pristine_makespan)
+      .add("final_makespan", result.final_makespan)
+      .add("makespan_stretch", result.makespan_stretch())
+      .add("wasted_cycles", result.wasted_cycles);
+  return doc.finish();
 }
 
 }  // namespace nocsched::report

@@ -1,7 +1,6 @@
 #include "report/trace_report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -90,61 +89,45 @@ std::string trace_csv(const core::SystemModel& sys, const des::SimTrace& trace) 
 
 std::string trace_json(const core::SystemModel& sys, const des::SimTrace& trace,
                        const sim::CrossCheckReport& check) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"soc\": " << json_string(sys.soc().name) << ",\n";
-  out << "  \"planned_makespan\": " << trace.planned_makespan << ",\n";
-  out << "  \"observed_makespan\": " << trace.observed_makespan << ",\n";
-  out << "  \"makespan_slip\": "
-      << static_cast<std::int64_t>(trace.observed_makespan) -
-             static_cast<std::int64_t>(trace.planned_makespan)
-      << ",\n";
-  out << "  \"peak_power\": " << json_number(trace.peak_power) << ",\n";
-  out << "  \"power_limit\": ";
-  if (std::isfinite(trace.power_limit)) {
-    out << json_number(trace.power_limit);
-  } else {
-    out << "null";
-  }
-  out << ",\n";
-  out << "  \"events\": " << trace.events_processed << ",\n";
-  out << "  \"packets\": " << trace.packets_delivered << ",\n";
-
-  out << "  \"sessions\": [\n";
-  for (std::size_t i = 0; i < trace.sessions.size(); ++i) {
-    const des::SessionTrace& t = trace.sessions[i];
-    out << "    {\"module\": " << t.module_id << ", \"name\": "
-        << json_string(sys.soc().module(t.module_id).name)
-        << ", \"source\": " << t.source_resource << ", \"sink\": " << t.sink_resource
-        << ", \"planned_start\": " << t.planned_start << ", \"planned_end\": " << t.planned_end
-        << ", \"observed_start\": " << t.observed_start
-        << ", \"observed_end\": " << t.observed_end << ", \"start_slip\": " << t.start_slip()
-        << ", \"finish_slip\": " << t.finish_slip() << ", \"stretch\": " << t.stretch_cycles()
-        << ", \"patterns\": " << t.patterns << ", \"flits_in\": " << t.flits_in
-        << ", \"flits_out\": " << t.flits_out << ", \"blocked\": " << t.blocked_cycles << "}"
-        << (i + 1 < trace.sessions.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-
-  out << "  \"channels\": [\n";
-  for (std::size_t i = 0; i < trace.channels.size(); ++i) {
-    const des::ChannelUse& c = trace.channels[i];
-    out << "    {\"channel\": " << c.channel
-        << ", \"from\": " << sys.mesh().channel_source(c.channel)
-        << ", \"to\": " << sys.mesh().channel_target(c.channel)
-        << ", \"busy_cycles\": " << c.busy_cycles << ", \"packets\": " << c.packets
-        << ", \"utilization\": " << json_number(c.utilization(trace.observed_makespan)) << "}"
-        << (i + 1 < trace.channels.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-
-  out << "  \"cross_check\": {\"ok\": " << (check.ok() ? "true" : "false")
-      << ", \"mismatches\": [";
-  for (std::size_t i = 0; i < check.mismatches.size(); ++i) {
-    out << (i > 0 ? ", " : "") << json_string(check.mismatches[i]);
-  }
-  out << "]}\n}\n";
-  return out.str();
+  JsonWriter doc(JsonWriter::Layout::kDocument);
+  doc.add("soc", sys.soc().name)
+      .add("planned_makespan", trace.planned_makespan)
+      .add("observed_makespan", trace.observed_makespan)
+      .add("makespan_slip", static_cast<std::int64_t>(trace.observed_makespan) -
+                                static_cast<std::int64_t>(trace.planned_makespan))
+      .add("peak_power", trace.peak_power)
+      .add("power_limit", finite_or_null(trace.power_limit))
+      .add("events", trace.events_processed)
+      .add("packets", trace.packets_delivered);
+  doc.rows("sessions", trace.sessions, [&](JsonWriter& row, const des::SessionTrace& t) {
+    row.add("module", t.module_id)
+        .add("name", sys.soc().module(t.module_id).name)
+        .add("source", t.source_resource)
+        .add("sink", t.sink_resource)
+        .add("planned_start", t.planned_start)
+        .add("planned_end", t.planned_end)
+        .add("observed_start", t.observed_start)
+        .add("observed_end", t.observed_end)
+        .add("start_slip", t.start_slip())
+        .add("finish_slip", t.finish_slip())
+        .add("stretch", t.stretch_cycles())
+        .add("patterns", t.patterns)
+        .add("flits_in", t.flits_in)
+        .add("flits_out", t.flits_out)
+        .add("blocked", t.blocked_cycles);
+  });
+  doc.rows("channels", trace.channels, [&](JsonWriter& row, const des::ChannelUse& c) {
+    row.add("channel", c.channel)
+        .add("from", sys.mesh().channel_source(c.channel))
+        .add("to", sys.mesh().channel_target(c.channel))
+        .add("busy_cycles", c.busy_cycles)
+        .add("packets", c.packets)
+        .add("utilization", c.utilization(trace.observed_makespan));
+  });
+  doc.object("cross_check", [&](JsonWriter& cc) {
+    cc.add("ok", check.ok()).add("mismatches", check.mismatches);
+  });
+  return doc.finish();
 }
 
 core::Schedule observed_schedule(const core::Schedule& plan, const des::SimTrace& trace) {

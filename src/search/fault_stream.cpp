@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/line_scanner.hpp"
+#include "common/narrow.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 
@@ -28,81 +29,6 @@ void merge_faults(noc::FaultSet& faults, const noc::FaultSet& increment) {
 
 namespace {
 
-/// Scanner over one JSONL line.  Every diagnostic is prefixed
-/// "<name>:<line>: " so a malformed file is fixable from the message
-/// alone.  The accepted grammar is deliberately small: one flat object
-/// of known keys, unsigned integers, and escape-free strings.
-class LineScanner {
- public:
-  LineScanner(std::string_view text, std::string_view name, std::size_t line)
-      : text_(text), name_(name), line_(line) {}
-
-  template <typename... Parts>
-  [[noreturn]] void die(Parts&&... parts) const {
-    fail(name_, ":", line_, ": ", std::forward<Parts>(parts)...);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t')) ++pos_;
-  }
-
-  [[nodiscard]] bool eat(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c, std::string_view where) {
-    if (!eat(c)) die("expected '", c, "' ", where);
-  }
-
-  [[nodiscard]] std::string_view parse_string(std::string_view what) {
-    expect('"', cat("to open ", what));
-    const std::size_t begin = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') die("escape sequences are not supported in ", what);
-      ++pos_;
-    }
-    if (pos_ == text_.size()) die("unterminated string in ", what);
-    return text_.substr(begin, pos_++ - begin);
-  }
-
-  [[nodiscard]] std::uint64_t parse_uint(std::string_view what) {
-    skip_ws();
-    const std::size_t begin = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
-    if (pos_ == begin) {
-      die("expected an unsigned integer for ", what, ", got '",
-          text_.substr(begin, std::min<std::size_t>(text_.size() - begin, 12)), "'");
-    }
-    std::uint64_t v = 0;
-    for (std::size_t i = begin; i < pos_; ++i) {
-      const std::uint64_t digit = static_cast<std::uint64_t>(text_[i] - '0');
-      if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-        die(what, " value '", text_.substr(begin, pos_ - begin), "' is out of range");
-      }
-      v = v * 10 + digit;
-    }
-    return v;
-  }
-
-  void expect_end() {
-    skip_ws();
-    if (pos_ != text_.size()) {
-      die("trailing content '", text_.substr(pos_), "' after the event object");
-    }
-  }
-
- private:
-  std::string_view text_;
-  std::string_view name_;
-  std::size_t line_;
-  std::size_t pos_ = 0;
-};
-
 /// "FROM:TO" -> the directed channel between two adjacent routers.
 noc::ChannelId parse_link(LineScanner& sc, std::string_view spec,
                           const core::SystemModel& sys) {
@@ -120,7 +46,7 @@ noc::ChannelId parse_link(LineScanner& sc, std::string_view spec,
       sc.die("no router '", ends[i], "' in link '", spec, "' (mesh has ",
              sys.mesh().router_count(), " routers)");
     }
-    routers[i] = static_cast<noc::RouterId>(r);
+    routers[i] = checked_narrow<noc::RouterId>(r);
   }
   if (sys.mesh().hop_count(routers[0], routers[1]) != 1) {
     sc.die("link '", spec, "': routers ", routers[0], " and ", routers[1],
@@ -134,60 +60,40 @@ FaultEvent parse_event(std::string_view text, const core::SystemModel& sys,
   LineScanner sc(text, name, line);
   FaultEvent event;
   bool saw_cycle = false;
-  sc.expect('{', "to open the event object");
-  if (!sc.eat('}')) {
-    do {
-      const std::string_view key = sc.parse_string("a key");
-      sc.expect(':', cat("after key \"", key, "\""));
-      if (key == "cycle") {
-        if (saw_cycle) sc.die("duplicate \"cycle\" key");
-        saw_cycle = true;
-        event.cycle = sc.parse_uint("\"cycle\"");
-        if (event.cycle > kMaxEventCycle) {
-          sc.die("\"cycle\" ", event.cycle, " exceeds the maximum ", kMaxEventCycle);
-        }
-      } else if (key == "links") {
-        sc.expect('[', "to open \"links\"");
-        if (!sc.eat(']')) {
-          do {
-            event.increment.fail_channel(parse_link(sc, sc.parse_string("a link"), sys));
-          } while (sc.eat(','));
-          sc.expect(']', "to close \"links\"");
-        }
-      } else if (key == "routers") {
-        sc.expect('[', "to open \"routers\"");
-        if (!sc.eat(']')) {
-          do {
-            const std::uint64_t r = sc.parse_uint("a router id");
-            if (r >= static_cast<std::uint64_t>(sys.mesh().router_count())) {
-              sc.die("no router ", r, " (mesh has ", sys.mesh().router_count(), " routers)");
-            }
-            event.increment.fail_router(static_cast<noc::RouterId>(r));
-          } while (sc.eat(','));
-          sc.expect(']', "to close \"routers\"");
-        }
-      } else if (key == "procs") {
-        sc.expect('[', "to open \"procs\"");
-        if (!sc.eat(']')) {
-          do {
-            const std::uint64_t raw = sc.parse_uint("a processor module id");
-            if (raw < 1 || raw > sys.soc().modules.size()) sc.die("no module ", raw);
-            const int id = static_cast<int>(raw);
-            if (!sys.soc().module(id).is_processor) {
-              sc.die("module ", id, " ('", sys.soc().module(id).name,
-                     "') is not a processor");
-            }
-            event.increment.fail_processor(id);
-          } while (sc.eat(','));
-          sc.expect(']', "to close \"procs\"");
-        }
-      } else {
-        sc.die("unknown key \"", key, "\" (expected cycle|links|routers|procs)");
+  sc.object("the event object", "a key", [&](std::string_view key) {
+    if (key == "cycle") {
+      saw_cycle = true;
+      event.cycle = sc.parse_uint("\"cycle\"");
+      if (event.cycle > kMaxEventCycle) {
+        sc.die("\"cycle\" ", event.cycle, " exceeds the maximum ", kMaxEventCycle);
       }
-    } while (sc.eat(','));
-    sc.expect('}', "to close the event object");
-  }
-  sc.expect_end();
+    } else if (key == "links") {
+      sc.array("\"links\"", [&] {
+        event.increment.fail_channel(parse_link(sc, sc.parse_string("a link"), sys));
+      });
+    } else if (key == "routers") {
+      sc.array("\"routers\"", [&] {
+        const std::uint64_t r = sc.parse_uint("a router id");
+        if (r >= static_cast<std::uint64_t>(sys.mesh().router_count())) {
+          sc.die("no router ", r, " (mesh has ", sys.mesh().router_count(), " routers)");
+        }
+        event.increment.fail_router(checked_narrow<noc::RouterId>(r));
+      });
+    } else if (key == "procs") {
+      sc.array("\"procs\"", [&] {
+        const std::uint64_t raw = sc.parse_uint("a processor module id");
+        if (raw < 1 || raw > sys.soc().modules.size()) sc.die("no module ", raw);
+        const int id = checked_narrow<int>(raw);
+        if (!sys.soc().module(id).is_processor) {
+          sc.die("module ", id, " ('", sys.soc().module(id).name, "') is not a processor");
+        }
+        event.increment.fail_processor(id);
+      });
+    } else {
+      sc.die("unknown key \"", key, "\" (expected cycle|links|routers|procs)");
+    }
+  });
+  sc.expect_end("the event object");
   if (!saw_cycle) sc.die("event has no \"cycle\"");
   if (event.increment.empty()) {
     sc.die("event breaks nothing (need at least one link, router, or proc)");

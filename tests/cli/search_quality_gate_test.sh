@@ -1,8 +1,8 @@
 #!/bin/sh
 # Drives scripts/check_search_quality.sh, the gate CI runs on each fresh
 # BENCH_headline.json: a document passes against itself, and fails when
-# one best_makespan moves (naming the row) or when it has no
-# search_quality section.  Registered with ctest; usage:
+# one best_makespan moves (naming the row), when it lacks a reference
+# row (naming the row), or when it has no search_quality section.  Registered with ctest; usage:
 #   search_quality_gate_test.sh <check_search_quality.sh> <BENCH_headline.json>
 set -u
 
@@ -34,6 +34,17 @@ elif grep -qF "$row: best " "$tmp/out" && grep -qF "!= reference" "$tmp/out"; th
   pass "a moved best_makespan fails, naming $row"
 else
   fail "a moved best_makespan failed without naming $row"
+fi
+
+jq 'del(.search_quality[1:])' "$doc" > "$tmp/short.json" || exit 1
+lost=$(jq -r '.search_quality[1] | "\(.soc) power=\(.power_limit) \(.strategy) iters=\(.iters)"' \
+  "$doc") || exit 1
+if sh "$gate" "$tmp/short.json" "$doc" > "$tmp/out" 2>&1; then
+  fail "a document missing reference rows passed"
+elif grep -qF "$lost: missing from" "$tmp/out"; then
+  pass "a document missing reference rows fails, naming $lost"
+else
+  fail "a document missing reference rows failed without naming $lost"
 fi
 
 jq 'del(.search_quality)' "$doc" > "$tmp/none.json" || exit 1

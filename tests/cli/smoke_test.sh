@@ -163,6 +163,18 @@ else
 fi
 check "--fault-sweep json"  "$cli" --soc d695 --procs 4 --fault-sweep 2 --format json
 
+# The sweep document is pinned byte for byte (CRC and length from
+# cksum), as tests/report/json_golden_test.cpp pins the report layer's
+# documents: a layout change must update this constant deliberately.
+sweep_sum=$("$cli" --soc d695 --procs 4 --fault-sweep 3 --fault-seed 9 --format json 2>/dev/null \
+  | cksum)
+if [ "$sweep_sum" = "4116351459 670" ]; then
+  echo "ok: --fault-sweep json bytes match the golden checksum"
+else
+  echo "FAIL: --fault-sweep json checksum is '$sweep_sum', expected '4116351459 670'" >&2
+  fails=$((fails + 1))
+fi
+
 # Online fault streams: every format renders a full timeline end to end.
 for fmt in table csv json all; do
   out=$("$cli" --soc d695 --procs 4 --fault-stream 2 --format "$fmt" 2>/dev/null)

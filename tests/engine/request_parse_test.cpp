@@ -160,6 +160,23 @@ TEST(RequestParse, ExactDiagnostics) {
             "req:7: \"simulate\" cannot be combined with \"faults\" (fault requests "
             "already classify the degraded plan)");
   EXPECT_EQ(parse_error(R"({"soc_file": ""})"), "req:7: \"soc_file\" must not be empty");
+  // A malformed mesh side carries the line prefix like every other
+  // diagnostic.
+  EXPECT_EQ(parse_error(R"({"soc":"rand:7","mesh":"ax2"})"),
+            "req:7: expected a non-negative integer for \"mesh\" cols, got 'a'");
+}
+
+// Every object rejects a repeated key, nested ones included: a repeated
+// "procs" inside "faults" used to be merged into one list.
+TEST(RequestParse, DuplicateKeysRejectedInEveryObject) {
+  EXPECT_EQ(parse_error(R"({"faults":{"procs":[11],"procs":[12]}})"),
+            "req:7: duplicate \"procs\" key");
+  EXPECT_EQ(parse_error(R"({"faults":{"links":["0:1"],"routers":[2],"links":["1:2"]}})"),
+            "req:7: duplicate \"links\" key");
+  EXPECT_EQ(parse_error(R"({"faults":{"procs":[11]},"faults":{"procs":[12]}})"),
+            "req:7: duplicate \"faults\" key");
+  // The same key in two different objects is no duplicate.
+  EXPECT_EQ(parse(R"({"procs":4,"faults":{"procs":[11]}})").system.procs, 4);
 }
 
 // The diagnostic prefix tracks the caller-supplied source and line.

@@ -90,6 +90,8 @@ const Fixture kFixtures[] = {
     {"d4_engine_clean.cpp", "src/engine/d4_engine_clean.cpp"},
     {"d5_violation.cpp", "src/itc02/d5_violation.cpp"},
     {"d5_clean.cpp", "src/itc02/d5_clean.cpp"},
+    {"d5_wire_violation.cpp", "src/engine/d5_wire_violation.cpp"},
+    {"d5_wire_clean.cpp", "src/engine/d5_wire_clean.cpp"},
     {"d6_violation.cpp", "src/search/d6_violation.cpp"},
     {"d6_clean.cpp", "src/core/d6_clean.cpp"},
     {"suppress.cpp", "src/itc02/suppress.cpp"},
@@ -111,7 +113,8 @@ TEST(LintGolden, FixturesMatchExpectMarkers) {
 TEST(LintGolden, CleanTwinsProduceNoFindings) {
   for (const char* name :
        {"d1_clean.cpp", "d2_clean.cpp", "d3_clean.cpp", "d4_clean.cpp",
-        "d4_planner_state_clean.cpp", "d4_engine_clean.cpp", "d5_clean.cpp", "d6_clean.cpp"}) {
+        "d4_planner_state_clean.cpp", "d4_engine_clean.cpp", "d5_clean.cpp",
+        "d5_wire_clean.cpp", "d6_clean.cpp"}) {
     SCOPED_TRACE(name);
     EXPECT_TRUE(parse_expects(read_fixture(name)).empty())
         << "clean fixtures must not carry expect markers";
@@ -138,7 +141,8 @@ TEST(LintScoping, PathsOutsideScopeAreIgnored) {
   const std::string text = read_fixture("d5_violation.cpp");
   EXPECT_TRUE(nocsched::lint::lint_source("tools/lint/demo.cpp", text).empty());
   EXPECT_TRUE(nocsched::lint::lint_source("tests/itc02/demo.cpp", text).empty());
-  // D5 is itc02-only: the same text elsewhere in src/ is out of scope.
+  // D5 covers parser code only: the same text elsewhere in src/ is out
+  // of scope.
   EXPECT_TRUE(nocsched::lint::lint_source("src/core/demo.cpp", text).empty());
 }
 
@@ -152,6 +156,12 @@ TEST(LintScoping, RuleAppliesMatchesTheCatalogue) {
   EXPECT_FALSE(rule_applies("D3", "src/core/system_model.cpp"));
   EXPECT_TRUE(rule_applies("D5", "src/itc02/parser.cpp"));
   EXPECT_FALSE(rule_applies("D5", "src/report/tables.cpp"));
+  EXPECT_TRUE(rule_applies("D5", "src/engine/request.cpp"));
+  EXPECT_TRUE(rule_applies("D5", "src/common/line_scanner.cpp"));
+  EXPECT_TRUE(rule_applies("D5", "src/common/line_scanner.hpp"));
+  EXPECT_TRUE(rule_applies("D5", "src/search/fault_stream.cpp"));
+  EXPECT_FALSE(rule_applies("D5", "src/search/driver.cpp"));
+  EXPECT_FALSE(rule_applies("D5", "src/common/strings.cpp"));
   EXPECT_TRUE(rule_applies("D6", "src/core/scheduler.cpp"));
   EXPECT_TRUE(rule_applies("D6", "src/search/driver.cpp"));
   EXPECT_FALSE(rule_applies("D6", "src/des/replay.cpp"));

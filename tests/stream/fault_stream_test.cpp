@@ -80,6 +80,12 @@ TEST(FaultStreamParser, RejectionsNameTheLineAndField) {
   expect_rejected("{\"cycle\": 1, \"cycle\": 2, \"links\": [\"0:1\"]}",
                   "test:1: duplicate \"cycle\" key");
   expect_rejected("{\"cycle\": 10, \"bogus\": 1}", "test:1: unknown key \"bogus\"");
+  // Any repeated key is rejected, not only "cycle": repeated lists used
+  // to be merged.
+  expect_rejected("{\"cycle\": 10, \"routers\": [5], \"routers\": [6]}",
+                  "test:1: duplicate \"routers\" key");
+  expect_rejected("{\"cycle\": 10, \"links\": [\"0:1\"], \"procs\": [11], \"links\": []}",
+                  "test:1: duplicate \"links\" key");
   expect_rejected("{\"cycle\": 99999999999999999999, \"links\": [\"0:1\"]}",
                   "is out of range");
   expect_rejected(cat("{\"cycle\": ", kMaxEventCycle + 1, ", \"links\": [\"0:1\"]}"),

@@ -22,9 +22,11 @@
 //       passed by const& (or &&/const*) outside their owning files —
 //       they are shared immutable by design; a by-value copy on a hot
 //       path or a mutable ref aliasing a shared table breaks the model
-//   D5  src/itc02/ parser code: no floating ==/!= and no unchecked
-//       narrowing static_casts (counts must flow through checked_u64 /
-//       require_u64 / nocsched::checked_narrow)
+//   D5  parser code (src/itc02/, src/engine/, the JSONL scanner
+//       src/common/line_scanner.*, src/search/fault_stream.cpp): no
+//       floating ==/!= and no unchecked narrowing static_casts to a
+//       32-bit-or-smaller integer or a noc id alias (counts must flow
+//       through checked_u64 / require_u64 / nocsched::checked_narrow)
 //   D6  no timing-dependent control flow in src/core/ or src/search/:
 //       if/while/for conditions must not read wall-clock values
 //       (`now`, `now_ms`, `*elapsed*`, `*deadline*`, `wall_*`) — time

@@ -34,8 +34,9 @@ void list_rules(std::ostream& os) {
         "D3  search::Strategy subclasses stateless; no 'mutable' in src/search/\n"
         "D4  PairTable/EvalContext/SystemModel parameters by const& (or &&/const*) "
         "outside their owning files\n"
-        "D5  src/itc02/: no floating ==/!=, no unchecked narrowing static_cast "
-        "(use checked_u64/require_u64/checked_narrow)\n"
+        "D5  src/itc02/, src/engine/, src/common/line_scanner.*, "
+        "src/search/fault_stream.cpp: no floating ==/!=, no unchecked narrowing "
+        "static_cast (use checked_u64/require_u64/checked_narrow)\n"
         "D6  no timing-dependent control flow in src/core/ or src/search/: no "
         "wall-clock identifiers (now/now_ms/*elapsed*/*deadline*/wall_*) in "
         "if/while/for conditions (allowlist for the clock itself: src/obs/clock.*)\n"

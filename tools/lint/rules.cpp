@@ -57,7 +57,13 @@ bool rule_applies(std::string_view rule, std::string_view rel_path) {
   if (rule == "D2") return starts_with(rel_path, "src/") && !kD2Exempt.count(rel_path);
   if (rule == "D3") return starts_with(rel_path, "src/search/");
   if (rule == "D4") return starts_with(rel_path, "src/");
-  if (rule == "D5") return starts_with(rel_path, "src/itc02/");
+  if (rule == "D5") {
+    // The parsers and what they feed: the ITC'02 reader, the JSONL
+    // scanner, both wire parsers and the engine that resolves requests.
+    return starts_with(rel_path, "src/itc02/") || starts_with(rel_path, "src/engine/") ||
+           starts_with(rel_path, "src/common/line_scanner.") ||
+           rel_path == "src/search/fault_stream.cpp";
+  }
   if (rule == "D6") {
     return starts_with(rel_path, "src/core/") || starts_with(rel_path, "src/search/");
   }
@@ -565,11 +571,14 @@ void rule_d4(const Stream& s, std::string_view rel, const Sink& sink) {
 }
 
 // ---------------------------------------------------------------------------
-// D5 — itc02 parser code: float ==/!= and unchecked narrowing casts.
+// D5 — parser code: float ==/!= and unchecked narrowing casts.
 
+// Narrow targets: the 32-bit-or-smaller builtins and the NoC's int id
+// aliases (noc::RouterId, noc::ChannelId).
 const std::set<std::string_view> kNarrowTargets = {
-    "int",    "short",   "unsigned", "char",     "int8_t",  "int16_t",   "int32_t",
-    "uint8_t", "uint16_t", "uint32_t", "char16_t", "char32_t", "signed"};
+    "int",      "short",    "unsigned", "char",     "int8_t",   "int16_t",  "int32_t",
+    "uint8_t",  "uint16_t", "uint32_t", "char16_t", "char32_t", "signed",   "RouterId",
+    "ChannelId"};
 const std::set<std::string_view> kCheckedHelpers = {"checked_u64", "require_u64",
                                                     "checked_narrow"};
 

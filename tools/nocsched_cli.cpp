@@ -486,22 +486,21 @@ int run_fault_sweep(const Options& opt, const core::SystemModel& sys,
     }
   }
   if (opt.format == "json" || all) {
-    std::cout << "{\n  \"soc\": " << report::json_string(sys.soc().name)
-              << ",\n  \"pristine_makespan\": " << schedule.makespan
-              << ",\n  \"fault_seed\": " << fault_seed << ",\n  \"scenarios\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::cout << "    {\"scenario\": " << r.scenario
-                << ", \"faults\": " << report::json_string(r.faults)
-                << ", \"lost\": " << r.robustness.lost
-                << ", \"delayed\": " << r.robustness.delayed << ", \"stretch\": "
-                << report::json_number(r.robustness.makespan_stretch)
-                << ", \"replan_makespan\": " << r.replan_makespan
-                << ", \"modules_lost\": " << r.untestable
-                << ", \"pairs_rebuilt\": " << r.pairs_rebuilt << "}"
-                << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    std::cout << "  ]\n}\n";
+    report::JsonWriter doc(report::JsonWriter::Layout::kDocument);
+    doc.add("soc", sys.soc().name)
+        .add("pristine_makespan", schedule.makespan)
+        .add("fault_seed", fault_seed)
+        .rows("scenarios", rows, [](report::JsonWriter& row, const Row& r) {
+          row.add("scenario", r.scenario)
+              .add("faults", r.faults)
+              .add("lost", r.robustness.lost)
+              .add("delayed", r.robustness.delayed)
+              .add("stretch", r.robustness.makespan_stretch)
+              .add("replan_makespan", r.replan_makespan)
+              .add("modules_lost", r.untestable)
+              .add("pairs_rebuilt", r.pairs_rebuilt);
+        });
+    std::cout << doc.finish();
   }
   return 0;
 }
